@@ -7,9 +7,11 @@ classifies each section, counts how many members of the point set it
 contains, and tags sections holding both a member and that member's
 antipode with respect to the set's own uncovered grid section.
 
-The counting is vectorized: hyperplane-coefficient rows times quadric
-point coordinates through the field's addition/multiplication tables,
-processed in row chunks.
+Both steps are whole-array gathers through the field's addition and
+multiplication tables.  A section is classified from the hyperplane's
+pole rather than its size, and members are counted from a hyperplanes x
+members incidence array, so no hyperplane is ever met against all
+quadric points.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from ovoid.geometry import GeometryError, Section, SectionType
+from ovoid.gf import mat_rref
 from ovoid.gq import check_partial_ovoid
 from ovoid.q4 import Q4Model
 from ovoid.redei import residue_set
@@ -39,6 +42,10 @@ EXPECTED_MINUS3_VALUES = {
     7: frozenset({4, 18}),
     11: frozenset({8, 30}),
 }
+
+
+# the codes returned by pole_section_kinds index this tuple
+SECTION_TYPES = (SectionType.ELLIPTIC, SectionType.HYPERBOLIC, SectionType.CONE)
 
 
 class CensusError(ValueError):
@@ -105,11 +112,47 @@ def _antipode_pairs_within(
     return pairs
 
 
+def _incidence(f, hyper: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """(hyperplanes x points) boolean array: point j lies on hyperplane i."""
+    add, mul = f._add_np, f._mul_np
+    vals = np.zeros((hyper.shape[0], coords.shape[0]), dtype=np.int16)
+    for c in range(hyper.shape[1]):
+        # a row gather then a column gather: no broadcast index arrays
+        vals = add[vals, mul[hyper[:, c]][:, coords[:, c]]]
+    return vals == 0
+
+
+def pole_section_kinds(quadric) -> np.ndarray:
+    """Section type of every hyperplane, as an index into SECTION_TYPES.
+
+    The hyperplane h is the polar hyperplane of its pole c = B^-1 h, with
+    B the polar matrix of the form Q.  Q(c) = 0 makes the section a cone
+    with vertex c; otherwise the section is a nonsingular quadric in
+    c-perp whose kind follows the square class of Q(c).  For the split
+    form X0^2 + X1 X2 + X3 X4 a nonzero square gives a hyperbolic and a
+    non-square an elliptic section.
+    """
+    f = quadric.field
+    size = quadric.form.nvars
+    identity = [[int(i == j) for j in range(size)] for i in range(size)]
+    rref, pivots = mat_rref(
+        f, [list(row) + ident for row, ident in zip(quadric.form.polar_matrix, identity)]
+    )
+    if pivots != list(range(size)):
+        raise GeometryError("the polar form is degenerate")
+    inverse = [row[size:] for row in rref]
+    hyper = quadric.space.coords
+    poles = np.stack([f.dot_arr(hyper, row) for row in inverse], axis=1)
+    values = quadric.form.evaluate_all(poles)
+    elliptic, hyperbolic, cone = range(3)
+    kinds = np.where(f._square_np[values], hyperbolic, elliptic)
+    return np.where(values == 0, cone, kinds)
+
+
 def run_census(
     model: Q4Model,
     members: Iterable[int],
     section: Optional[Section] = None,
-    chunk_rows: int = 2048,
 ) -> CensusReport:
     """Classify every hyperplane section and histogram its member count.
 
@@ -124,69 +167,37 @@ def run_census(
     f = model.field
     q = f.q
     quadric = model.quadric
-    space = quadric.space
 
     if section is None and len(members) == q * q - 1:
         section = model.subquadrangle_section(members)
 
-    pair_rows: Optional[np.ndarray] = None
-    pair_cols: Optional[np.ndarray] = None
+    hyper = quadric.space.coords  # (num_hyperplanes, 5) dual vectors
+    kinds = pole_section_kinds(quadric)
+    on = _incidence(f, hyper, quadric.coords[list(members)])
+    # one code per hyperplane for the pair (section type, member count)
+    codes = kinds * (len(members) + 1) + on.sum(axis=1)
+    pairs = np.zeros((0, 2), dtype=np.int64)
     if section is not None:
-        pairs = _antipode_pairs_within(model, section, members)
-        if pairs:
-            pair_rows = np.array([p[0] for p in pairs], dtype=np.int64)
-            pair_cols = np.array([p[1] for p in pairs], dtype=np.int64)
+        column = {m: c for c, m in enumerate(members)}
+        pairs = np.array(
+            [(column[i], column[j]) for i, j in _antipode_pairs_within(model, section, members)],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+    has_pair = (on[:, pairs[:, 0]] & on[:, pairs[:, 1]]).any(axis=1)
 
-    coords = quadric.coords.astype(np.int16)  # (num_points, 5)
-    hyper = space.coords.astype(np.int16)  # (num_hyperplanes, 5) dual vectors
-    add_t, mul_t = f._add_np, f._mul_np
-    member_idx = np.array(members, dtype=np.int64)
-
-    size_by_kind = {
-        q * q + 1: SectionType.ELLIPTIC,
-        (q + 1) * (q + 1): SectionType.HYPERBOLIC,
-        q * q + q + 1: SectionType.CONE,
-    }
-    histograms: dict[SectionType, dict[int, int]] = {
-        kind: {} for kind in SectionType
-    }
-    pair_histograms: dict[SectionType, dict[int, int]] = {
-        kind: {} for kind in SectionType
-    }
-
-    for start in range(0, hyper.shape[0], chunk_rows):
-        rows = hyper[start : start + chunk_rows]
-        vals = np.zeros((rows.shape[0], coords.shape[0]), dtype=np.int16)
-        for c in range(5):
-            prod = mul_t[rows[:, c][:, None], coords[:, c][None, :]]
-            vals = add_t[vals, prod]
-        on = vals == 0
-        sizes = on.sum(axis=1)
-        k_counts = on[:, member_idx].sum(axis=1)
-        if pair_rows is not None:
-            has_pair = (on[:, pair_rows] & on[:, pair_cols]).any(axis=1)
-        else:
-            has_pair = np.zeros(rows.shape[0], dtype=bool)
-        for r in range(rows.shape[0]):
-            size = int(sizes[r])
-            kind = size_by_kind.get(size)
-            if kind is None:
-                raise GeometryError(
-                    f"hyperplane {tuple(int(v) for v in rows[r])} cuts {size} "
-                    "quadric points, not a valid section size"
-                )
-            kc = int(k_counts[r])
-            hist = histograms[kind]
-            hist[kc] = hist.get(kc, 0) + 1
-            if has_pair[r]:
-                ph = pair_histograms[kind]
-                ph[kc] = ph.get(kc, 0) + 1
+    def histogram(subset: np.ndarray) -> dict[SectionType, dict[int, int]]:
+        hist: dict[SectionType, dict[int, int]] = {kind: {} for kind in SectionType}
+        keys, counts = np.unique(subset, return_counts=True)
+        for key, count in zip(keys.tolist(), counts.tolist()):
+            kind, kc = divmod(key, len(members) + 1)
+            hist[SECTION_TYPES[kind]][kc] = count
+        return hist
 
     return CensusReport(
         q=q,
         k_size=len(members),
-        histograms=histograms,
-        pair_histograms=pair_histograms,
+        histograms=histogram(codes),
+        pair_histograms=histogram(codes[has_pair]),
         num_hyperplanes=hyper.shape[0],
     )
 
@@ -228,21 +239,14 @@ def check_double_count(report: CensusReport, model: Q4Model) -> CheckResult:
     """sum over elliptic sections of |section ∩ K| must equal |K| times the
     per-point number of elliptic sections, which is the same for every
     quadric point.  The per-point constant is counted directly at quadric
-    point 0 rather than taken from a formula."""
-    f = model.field
-    q = f.q
+    point 0, from the section sizes of the hyperplanes through it, rather
+    than taken from a formula or from the pole classification."""
+    q = model.field.q
     quadric = model.quadric
-    point = quadric.coords[0]
-    through = 0
-    for h in range(len(quadric.space)):
-        coeffs = tuple(int(v) for v in quadric.space.coords[h])
-        val = 0
-        for c in range(5):
-            val = f.add(val, f.mul(coeffs[c], int(point[c])))
-        if val != 0:
-            continue
-        if int(quadric.section_mask(coeffs).sum()) == q * q + 1:
-            through += 1
+    hyper = quadric.space.coords
+    through_point = hyper[model.field.dot_arr(hyper, quadric.coords[0]) == 0]
+    sizes = _incidence(model.field, through_point, quadric.coords).sum(axis=1)
+    through = int((sizes == q * q + 1).sum())
     lhs = sum(
         size * count
         for size, count in report.histograms.get(SectionType.ELLIPTIC, {}).items()

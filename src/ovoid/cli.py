@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -48,6 +47,8 @@ from .gq import GQError
 from .io import (
     StorageError,
     cached_model,
+    check_desk_cap,
+    desk_cap,
     json_digest,
     load_point_set,
     save_point_set,
@@ -63,7 +64,6 @@ from .verify import (
 
 __all__ = ["main", "CLIError"]
 
-DEFAULT_MAX_Q = 13
 PIPELINE_FIELDS = (3, 5, 7)
 STRETCH_FIELD = 11
 
@@ -110,19 +110,18 @@ def _prime_power(q: int) -> Optional[tuple[int, int]]:
 
 def field_for_q(q: int, max_q: Optional[int] = None) -> Field:
     """Build GF(q) for an odd prime power q within the desk-scale cap."""
-    if max_q is None:
-        max_q = int(os.environ.get("OVOID_MAX_Q", DEFAULT_MAX_Q))
-    ph = _prime_power(q)
-    if ph is None:
-        raise CLIError(f"q = {q} is not a prime power")
-    p, h = ph
-    if p == 2:
-        raise CLIError(f"q = {q} is even; only odd prime powers are supported")
-    if q > max_q:
-        raise CLIError(
-            f"q = {q} exceeds the desk-scale cap {max_q} "
-            "(set OVOID_MAX_Q to raise it)"
-        )
+    try:
+        if max_q is None:
+            max_q = desk_cap()
+        ph = _prime_power(q)
+        if ph is None:
+            raise CLIError(f"q = {q} is not a prime power")
+        p, h = ph
+        if p == 2:
+            raise CLIError(f"q = {q} is even; only odd prime powers are supported")
+        check_desk_cap(p, h, max_q)
+    except StorageError as exc:
+        raise CLIError(str(exc)) from exc
     return make_field(p, h)
 
 

@@ -206,6 +206,9 @@ class Field:
         self._add_np = add.astype(np.int16)
         self._mul_np = mul.astype(np.int16)
         self._neg_np = neg.astype(np.int16)
+        # inverse with 0 -> 0 (the x^(q-2) convention), so gathers never fail
+        self._inv_np = np.maximum(inv, 0).astype(np.int16)
+        self._square_np = sqrt >= 0
         self._add_py = [[int(x) for x in row] for row in add]
         self._mul_py = [[int(x) for x in row] for row in mul]
         self._neg_py = [int(x) for x in neg]
@@ -303,6 +306,19 @@ class Field:
     def neg_arr(self, a):
         self._need_tables()
         return self._neg_np[a]
+
+    def sum_arr(self, arr: np.ndarray) -> np.ndarray:
+        """Field sum along the last axis, by pairwise table additions."""
+        self._need_tables()
+        add = self._add_np
+        arr = np.asarray(arr, dtype=np.int16)
+        if arr.shape[-1] == 0:
+            return np.zeros(arr.shape[:-1], dtype=np.int16)
+        while arr.shape[-1] > 1:
+            half = arr.shape[-1] // 2
+            paired = add[arr[..., :half], arr[..., half : 2 * half]]
+            arr = np.concatenate([paired, arr[..., 2 * half :]], axis=-1)
+        return arr[..., 0]
 
     def dot_arr(self, mat: np.ndarray, vec: Sequence[int]) -> np.ndarray:
         """Row-wise dot products of an element matrix with a fixed vector."""

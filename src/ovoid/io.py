@@ -28,6 +28,9 @@ from .t2 import T2Model, build_t2_model
 __all__ = [
     "StorageError",
     "MODEL_NAMES",
+    "DEFAULT_MAX_Q",
+    "desk_cap",
+    "check_desk_cap",
     "build_model",
     "cached_model",
     "save_point_set",
@@ -35,6 +38,8 @@ __all__ = [
     "canonical_json",
     "json_digest",
 ]
+
+DEFAULT_MAX_Q = 13
 
 SET_FORMAT = "ovoid-set"
 SET_VERSION = 1
@@ -49,6 +54,32 @@ MODEL_NAMES = tuple(sorted(_BUILDERS))
 
 class StorageError(Exception):
     """Raised for malformed set files or registry misuse."""
+
+
+def desk_cap() -> int:
+    """The largest field order a run may build: ``OVOID_MAX_Q``, default 13."""
+    raw = os.environ.get("OVOID_MAX_Q", str(DEFAULT_MAX_Q))
+    try:
+        return int(raw)
+    except ValueError:
+        raise StorageError(f"OVOID_MAX_Q must be an integer, got {raw!r}") from None
+
+
+def check_desk_cap(p: int, h: int, max_q: Optional[int] = None) -> None:
+    """Refuse GF(p^h) above the desk-scale cap (``max_q`` or :func:`desk_cap`).
+
+    Since p >= 2, any h beyond the cap's bit length is refused without
+    computing p^h, so an absurd degree costs nothing.
+    """
+    if max_q is None:
+        max_q = desk_cap()
+    huge = h > abs(max_q).bit_length()
+    if huge or p**h > max_q:
+        q = f"{p}^{h}" if huge else p**h
+        raise StorageError(
+            f"q = {q} exceeds the desk-scale cap {max_q} "
+            "(set OVOID_MAX_Q to raise it)"
+        )
 
 
 def build_model(name: str, field: Field) -> Model:
@@ -161,10 +192,16 @@ def load_point_set(
 
     When ``model`` is passed it must match the file's model name and field;
     otherwise the model is built (through :func:`cached_model`) from the
-    field data embedded in the file.
+    field data embedded in the file.  A file that is not JSON, or names a
+    field above the desk-scale cap, raises :class:`StorageError`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors, as is an
+        # integer literal too long to convert
+        raise StorageError(f"{path}: not a JSON document ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != SET_FORMAT:
         raise StorageError(f"{path}: not a point-set file")
     if doc.get("version") != SET_VERSION:
@@ -172,6 +209,11 @@ def load_point_set(
     name = doc.get("model")
     if name not in _BUILDERS:
         raise StorageError(f"{path}: unknown model {name!r}")
+    try:
+        p, h = int(doc["field"]["p"]), int(doc["field"]["h"])
+    except Exception as exc:
+        raise StorageError(f"{path}: bad field data ({exc})") from exc
+    check_desk_cap(p, h)  # before any table or model is built
     try:
         field = field_from_json(doc["field"])
     except Exception as exc:
@@ -183,7 +225,10 @@ def load_point_set(
             f"{path}: file is for {name} over {field!r}, "
             f"got a {model.name} model over {model.field!r}"
         )
-    members = sorted(model.decode_member(obj) for obj in doc.get("members", []))
+    try:
+        members = sorted(model.decode_member(obj) for obj in doc.get("members", []))
+    except (TypeError, ValueError) as exc:  # GeometryError is a ValueError
+        raise StorageError(f"{path}: bad member data ({exc})") from exc
     if len(set(members)) != len(members):
         raise StorageError(f"{path}: duplicate members")
     if doc.get("size") != len(members):

@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from ovoid.gf import Field, mat_rank
 
 Triple = tuple[int, int, int]
@@ -510,6 +512,161 @@ def residue_set(field: Field) -> frozenset[int]:
 
 
 # ----------------------------------------------------------------------
+# whole-array kernels: one row per direction
+# ----------------------------------------------------------------------
+#
+# Each kernel works on int16 element arrays through the field's lookup
+# tables, with row d standing for the d-th direction.  Row d of each
+# result equals the scalar function of the same name at that direction.
+
+def linear_values_all(u: AffineSet, directions) -> np.ndarray:
+    """(directions x |U|) array whose row d is linear_values(u, d)."""
+    field = u.field
+    field._need_tables()
+    add, mul = field._add_np, field._mul_np
+    pts = np.array(u.points, dtype=np.int16).reshape(-1, 3)
+    dirs = np.asarray(directions, dtype=np.int16).reshape(-1, 3)
+    out = np.zeros((dirs.shape[0], pts.shape[0]), dtype=np.int16)
+    for c in range(3):
+        out = add[out, mul[dirs[:, c, None], pts[None, :, c]]]
+    return out
+
+
+def redei_coefficients_all(field: Field, values: np.ndarray) -> np.ndarray:
+    """sigma_0 .. sigma_n per row, expanding prod(X + L_i) one factor at
+    a time: multiplying by (X + v) adds v * sigma_(k-1) to sigma_k."""
+    add, mul = field._add_np, field._mul_np
+    rows, n = values.shape
+    sig = np.zeros((rows, n + 1), dtype=np.int16)
+    sig[:, 0] = 1
+    for i in range(n):
+        # after i factors only sigma_0 .. sigma_i can be nonzero
+        sig[:, 1 : i + 2] = add[sig[:, 1 : i + 2], mul[values[:, i, None], sig[:, : i + 1]]]
+    return sig
+
+
+def power_sums_all(field: Field, values: np.ndarray, j_max: int) -> np.ndarray:
+    """S_0 .. S_j_max per row by repeated powering (0^0 = 1)."""
+    mul = field._mul_np
+    acc = np.ones_like(values)
+    sums = [field.sum_arr(acc)]
+    for _ in range(j_max):
+        acc = mul[acc, values]
+        sums.append(field.sum_arr(acc))
+    return np.stack(sums, axis=1)
+
+
+def newton_sigmas_all(field: Field, power: np.ndarray, k_max: int) -> np.ndarray:
+    """newton_sigmas for every row of a power-sum array."""
+    add, mul, neg = field._add_np, field._mul_np, field._neg_np
+    sigmas = [np.ones(power.shape[0], dtype=np.int16)]
+    for k in range(1, k_max + 1):
+        if k % field.p == 0:
+            raise RedeiError(
+                f"sigma_{k} is not determined by the recurrence when p={field.p} divides k"
+            )
+        acc = np.zeros(power.shape[0], dtype=np.int16)
+        for j in range(1, k + 1):
+            term = mul[power[:, j], sigmas[k - j]]
+            acc = add[acc, term if j % 2 == 1 else neg[term]]
+        sigmas.append(mul[acc, field.inv(k % field.p)])
+    return np.stack(sigmas, axis=1)
+
+
+def chi_direct_all(field: Field, values: np.ndarray) -> np.ndarray:
+    """(rows x q) array of sum_i (x + L_i)^(q-1), by direct powering."""
+    add, mul = field._add_np, field._mul_np
+    x = np.arange(field.q, dtype=np.int16)
+    shifted = add[x[None, :, None], values[:, None, :]]
+    acc = shifted
+    for _ in range(field.q - 2):
+        acc = mul[acc, shifted]
+    return field.sum_arr(acc)
+
+
+def chi_closed_all(field: Field, sigma2: np.ndarray) -> np.ndarray:
+    """(rows x q) array of chi_closed(x, sigma2[row]), Horner in x^2."""
+    add, mul = field._add_np, field._mul_np
+    x = np.arange(field.q, dtype=np.int16)
+    x2 = mul[x, x][None, :]
+    acc = np.zeros((sigma2.shape[0], field.q), dtype=np.int16)
+    s_pow = np.ones(sigma2.shape[0], dtype=np.int16)
+    for _ in range((field.q - 1) // 2 + 1):
+        acc = add[mul[acc, x2], s_pow[:, None]]
+        s_pow = mul[s_pow, sigma2]
+    return mul[acc, field.neg(2 % field.p)]
+
+
+def _powers(field: Field, base: np.ndarray, e_max: int) -> np.ndarray:
+    """(rows x (e_max + 1)) array of base^e, with 0^0 = 1."""
+    mul = field._mul_np
+    out = np.ones((base.shape[0], e_max + 1), dtype=np.int16)
+    for e in range(1, e_max + 1):
+        out[:, e] = mul[out[:, e - 1], base]
+    return out
+
+
+def _first_true(mask: np.ndarray) -> np.ndarray:
+    """Per row, the column of the first True entry, or -1."""
+    return np.where(mask.any(axis=1), mask.argmax(axis=1), -1)
+
+
+def factorization_mismatches(
+    field: Field, sigmas: np.ndarray
+) -> list[Optional[tuple[str, int]]]:
+    """verify_redei_factorization's first_mismatch for every row of an
+    already-expanded sigma array (rows x (q^2 - 1)); None where the row
+    passes the product, divisibility and sigma-pattern checks."""
+    q = field.q
+    rows, width = sigmas.shape
+    n = width - 1
+    if n != q * q - 2:
+        raise RedeiError(f"identity needs |U| = q^2 - 2, got {n}")
+    add, mul, neg = field._add_np, field._mul_np, field._neg_np
+    s2 = sigmas[:, 2]
+    r_poly = sigmas[:, ::-1]  # ascending degree; monic since sigma_0 = 1
+
+    target = np.zeros(q * q + 1, dtype=np.int16)
+    target[q * q] = 1
+    target[q] = neg[1]
+    product = np.zeros((rows, n + 3), dtype=np.int16)
+    product[:, 2:] = r_poly
+    product[:, : n + 1] = add[product[:, : n + 1], neg[mul[s2[:, None], r_poly]]]
+    bad_product = _first_true(product != target)
+
+    num = np.tile(target, (rows, 1))
+    for d in range(q * q, n - 1, -1):
+        window = num[:, d - n : d + 1]
+        num[:, d - n : d + 1] = add[window, neg[mul[num[:, d, None], r_poly]]]
+    bad_divides = _first_true(num[:, :n] != 0)
+
+    pw = _powers(field, s2, (q * q - 3) // 2)
+    odd = np.arange(1, n + 1, 2)
+    even = np.arange(0, q * q - q - 1, 2)
+    ks = np.arange((q - 3) // 2 + 1)
+    top = q * q - q + 2 * ks
+    bad_odd = _first_true(sigmas[:, odd] != 0)
+    bad_even = _first_true(sigmas[:, even] != pw[:, even // 2])
+    bad_top = _first_true(sigmas[:, top] != add[pw[:, top // 2], neg[pw[:, ks]]])
+
+    out: list[Optional[tuple[str, int]]] = []
+    for i in range(rows):
+        if bad_product[i] >= 0:
+            out.append(("product", int(bad_product[i])))
+        elif bad_divides[i] >= 0:
+            out.append(("divides", int(bad_divides[i])))
+        elif bad_odd[i] >= 0:
+            out.append(("sigma_odd", int(odd[bad_odd[i]])))
+        elif bad_even[i] >= 0:
+            out.append(("sigma_even", int(even[bad_even[i]])))
+        elif bad_top[i] >= 0:
+            out.append(("sigma_top", int(top[bad_top[i]])))
+        else:
+            out.append(None)
+    return out
+
+
+# ----------------------------------------------------------------------
 # the full per-example verification suite
 # ----------------------------------------------------------------------
 
@@ -551,6 +708,18 @@ def run_redei_suite(model, members) -> RedeiSuiteReport:
     """Run every per-direction and per-plane identity check against a
     partial ovoid of the affine model that contains the infinite point.
 
+    The set is translated to zero coordinate sums and handed to
+    :func:`redei_suite_core` with the model's conic.
+    """
+    u = translate_to_zero_sum(affine_set(model.field, model.u_from_k(members)))
+    return redei_suite_core(u, model.conic)
+
+
+def redei_suite_core(u: AffineSet, conic) -> RedeiSuiteReport:
+    """Every identity check for a zero-sum set U of q^2 - 2 affine points
+    against a conic at infinity (anything with ``points`` and
+    ``plane.points``, like :class:`ovoid.t2.Conic`).
+
     The walk covers all q^2 + q + 1 direction triples and all q^3 + q^2 + q
     planes other than the plane at infinity.  Checks:
 
@@ -570,119 +739,119 @@ def run_redei_suite(model, members) -> RedeiSuiteReport:
     - tangent-direction planes with x = 0 hold exactly q - 2 set points
     - sigma2 vanishes exactly on the tangent directions
     - sigma2 attains every field element over the directions
+
+    Four arrays carry the checks and none is derived from another: the
+    expanded product, power sums with their Newton recurrence, chi by
+    direct powering, and chi in closed form from the product's sigma2.
+    The first failure of each check is reported in the order of a walk
+    over directions (and x within a direction), whatever that walk
+    would have met first.
     """
-    field = model.field
-    q = field.q
-    u0 = affine_set(field, model.u_from_k(members))
-    u = translate_to_zero_sum(u0)
+    field = u.field
+    q, p = field.q, field.p
     n = len(u)
+    if n != q * q - 2:
+        raise RedeiError(f"identity needs |U| = q^2 - 2, got {n}")
+    if not u.translated:
+        raise RedeiError("identity needs a zero-sum (translated) set")
+    add, mul, neg = field._add_np, field._mul_np, field._neg_np
 
-    checks: dict[str, bool] = {}
-    failures: list[tuple[str, tuple]] = []
+    directions = conic.plane.points
+    dirs = np.array(directions, dtype=np.int16)
+    values = linear_values_all(u, dirs)
+    sigmas = redei_coefficients_all(field, values)
+    power = power_sums_all(field, values, q - 1)
+    newton = newton_sigmas_all(field, power, q - 1)
+    chi = chi_direct_all(field, values)
+    s2 = sigmas[:, 2]
+    chi_sum = chi_closed_all(field, s2)
 
-    def record(name: str, ok: bool, witness: tuple) -> None:
-        if name not in checks:
-            checks[name] = True
-        if not ok and checks[name]:
-            checks[name] = False
-            failures.append((name, witness))
-
-    record("sigma1_zero", coordinate_sums(field, u.points) == (0, 0, 0), ())
+    conic_pts = np.array(conic.points, dtype=np.int16)
+    meet_count = (field.sum_arr(mul[dirs[:, None, :], conic_pts[None, :, :]]) == 0).sum(axis=1)
+    meets = meet_count > 0
+    tangent = meet_count == 1
+    every = np.ones(len(directions), dtype=bool)
 
     form = sigma2_form(u)
-    buckets = model.conic.classify_directions()
-    tangent_set = set(buckets["tangent"])
-    n_mod = n % field.p
-    minus_two = field.neg(2 % field.p)
-    sigma2_seen: set[int] = set()
+    matrix = np.array(form.matrix, dtype=np.int16)
+    form_values = field.sum_arr(mul[dirs, field.sum_arr(mul[dirs[:, None, :], matrix[None, :, :]])])
 
-    for direction in model.conic.plane.points:
-        meets = model.conic.line_meets(direction) > 0
-        sigmas = redei_coefficients(u, direction)
-        s2 = sigmas[2]
-        sigma2_seen.add(s2)
+    # the factorization check runs on the product rows expanded above
+    mismatches: list[Optional[tuple[str, int]]] = [None] * len(directions)
+    meet_rows = np.flatnonzero(meets)
+    for d, first in zip(meet_rows, factorization_mismatches(field, sigmas[meet_rows])):
+        mismatches[d] = first
+    factorization = np.array([first is None for first in mismatches])
 
-        record("form_matches_product", form.evaluate(direction) == s2, (direction,))
+    minus_two = neg[2 % p]
+    pw = _powers(field, s2, (q - 1) // 2)
+    odd = np.arange(1, q, 2)
+    even = 2 * np.arange((q - 1) // 2 + 1)
+    power_ok = (power[:, odd] == 0).all(axis=1) & (power[:, even] == mul[minus_two, pw]).all(axis=1)
+    sigma_ok = (sigmas[:, odd] == 0).all(axis=1) & (sigmas[:, even] == pw).all(axis=1)
 
-        if meets:
-            rep = verify_redei_factorization(u, direction)
-            record("factorization", rep.passed, (direction, rep.first_mismatch))
+    x = np.arange(q, dtype=np.int16)
+    x2 = mul[x, x][None, :]
+    s2c = s2[:, None]
+    on_plane = (values[:, None, :] == neg[x][None, :, None]).sum(axis=2)
+    congruence = add[n % p, neg[on_plane % p]]
+    square = field._square_np[s2]
+    zero_case = chi == np.where(x == 0, 0, minus_two)[None, :]
+    square_case = chi == np.where(x2 == s2c, neg[1], minus_two)
+    # chi = -2 (x^2 + s2) / (x^2 - s2), vanishing exactly when x^2 = -s2;
+    # the denominator is nonzero wherever s2 is a non-square
+    ratio = mul[add[x2, s2c], field._inv_np[add[x2, neg[s2c]]]]
+    nonsquare_case = (chi == mul[minus_two, ratio]) & ((chi == 0) == (x2 == neg[s2c]))
+    case_ok = np.where(
+        (s2 == 0)[:, None], zero_case, np.where(square[:, None], square_case, nonsquare_case)
+    )
+    # on lines meeting the conic, sigma2 is square-or-zero (both roots of
+    # X^2 - sigma2 lie in the field), so a vanishing chi forces sigma2 = 0
+    # and x = 0 -- the step that identifies the zero set of sigma2 with
+    # the tangent directions
+    zero_locus = (chi != 0) | ((s2c == 0) & (x == 0)[None, :])
 
-        power = power_sums(u, direction)
-        newton = newton_sigmas(field, power, q - 1)
-        record(
-            "newton_matches_product",
-            newton == sigmas[: q],
-            (direction,),
-        )
-        ok_power = all(power[j] == 0 for j in range(1, q, 2)) and all(
-            power[2 * l] == field.mul(minus_two, field.pow(s2, l))
-            for l in range((q - 1) // 2 + 1)
-        )
-        record("power_sum_pattern", ok_power, (direction,))
-        ok_sigma = all(sigmas[j] == 0 for j in range(1, q, 2)) and all(
-            sigmas[2 * l] == field.pow(s2, l) for l in range((q - 1) // 2 + 1)
-        )
-        record("sigma_pattern", ok_sigma, (direction,))
+    # (name, ok per direction or per (direction, x), applies, slot): the
+    # slot orders checks within one direction as a per-direction walk
+    # records them; x-indexed checks take slot + 4x
+    table = [
+        ("form_matches_product", form_values == s2, every, 0),
+        ("factorization", factorization, meets, 1),
+        ("newton_matches_product", (newton == sigmas[:, :q]).all(axis=1), every, 2),
+        ("power_sum_pattern", power_ok, every, 3),
+        ("sigma_pattern", sigma_ok, every, 4),
+        ("dual_zero_set", (s2 == 0) == tangent, every, 5),
+        ("chi_two_paths", chi == chi_sum, every, 6),
+        ("plane_congruence", chi == congruence, every, 7),
+        ("chi_case_analysis", case_ok, every, 8),
+        ("chi_zero_locus_on_conic_lines", zero_locus, meets, 9),
+        ("sigma2_square_on_conic_lines", square, meets, 6 + 4 * q),
+        ("tangent_plane_count", on_plane[:, 0] == q - 2, tangent, 7 + 4 * q),
+    ]
+    seen: list[tuple[tuple[int, int], str, bool]] = []
+    found: list[tuple[tuple[int, int], str, tuple]] = []
+    for name, ok, applies, slot in table:
+        bad = ~ok & (applies[:, None] if ok.ndim == 2 else applies)
+        seen.append(((int(np.flatnonzero(applies)[0]), slot), name, not bad.any()))
+        if not bad.any():
+            continue
+        first = int(np.flatnonzero(bad)[0])
+        if ok.ndim == 2:
+            d, xi = divmod(first, q)
+            found.append(((d, slot + 4 * xi), name, (directions[d], xi)))
+        elif name == "factorization":
+            found.append(((first, slot), name, (directions[first], mismatches[first])))
+        else:
+            found.append(((first, slot), name, (directions[first],)))
 
-        record(
-            "dual_zero_set",
-            (s2 == 0) == (direction in tangent_set),
-            (direction,),
-        )
-
-        values = linear_values(u, direction)
-        counts: dict[int, int] = {}
-        for v in values:
-            counts[v] = counts.get(v, 0) + 1
-        s2_square = field.is_square(s2)
-        for x in range(q):
-            chi_d = 0
-            for v in values:
-                chi_d = field.add(chi_d, field.pow(field.add(x, v), q - 1))
-            record(
-                "chi_two_paths", chi_d == chi_closed(field, x, s2), (direction, x)
-            )
-            on_plane = counts.get(field.neg(x), 0)
-            record(
-                "plane_congruence",
-                chi_d == field.sub(n_mod, on_plane % field.p),
-                (direction, x),
-            )
-            x2 = field.mul(x, x)
-            if s2 == 0:
-                expected = 0 if x == 0 else minus_two
-                ok_case = chi_d == expected
-            elif s2_square:
-                ok_case = chi_d == (field.neg(1) if x2 == s2 else minus_two)
-            else:
-                # chi = -2 (x^2 + s2) / (x^2 - s2); it vanishes exactly
-                # when x^2 = -s2, which has solutions iff -1 is a
-                # non-square (q = 3 mod 4) since s2 is a non-square here
-                ratio = field.div(field.add(x2, s2), field.sub(x2, s2))
-                ok_case = chi_d == field.mul(minus_two, ratio) and (
-                    (chi_d == 0) == (x2 == field.neg(s2))
-                )
-            record("chi_case_analysis", ok_case, (direction, x))
-            if meets:
-                # on lines meeting the conic, sigma2 is square-or-zero
-                # (both roots of X^2 - sigma2 lie in the field), so a
-                # vanishing chi forces sigma2 = 0 and x = 0 — the step
-                # that identifies the zero set of sigma2 with the
-                # tangent directions
-                record(
-                    "chi_zero_locus_on_conic_lines",
-                    chi_d != 0 or (s2 == 0 and x == 0),
-                    (direction, x),
-                )
-        if meets:
-            record("sigma2_square_on_conic_lines", s2_square, (direction,))
-        if direction in tangent_set:
-            record(
-                "tangent_plane_count", counts.get(0, 0) == q - 2, (direction,)
-            )
-
-    record("sigma2_range_full", sigma2_seen == set(range(q)), ())
+    checks = {"sigma1_zero": coordinate_sums(field, u.points) == (0, 0, 0)}
+    failures: list[tuple[str, tuple]] = [] if checks["sigma1_zero"] else [("sigma1_zero", ())]
+    for _, name, ok in sorted(seen):
+        checks[name] = ok
+    failures += [(name, witness) for _, name, witness in sorted(found, key=lambda t: t[0])]
+    checks["sigma2_range_full"] = set(s2.tolist()) == set(range(q))
+    if not checks["sigma2_range_full"]:
+        failures.append(("sigma2_range_full", ()))
 
     return RedeiSuiteReport(
         q=q,

@@ -2,7 +2,9 @@
 
 import csv
 import json
+import random
 
+import numpy as np
 import pytest
 
 from ovoid.census import (
@@ -61,6 +63,50 @@ def oracle_census(model, members):
     return hist
 
 
+def size_based_census(model, members, section=None):
+    """Histograms by section size: every hyperplane met against every
+    quadric point, in row chunks, the slow path the pole rule must match."""
+    members = tuple(sorted(members))
+    f = model.field
+    q = f.q
+    quadric = model.quadric
+    if section is None and len(members) == q * q - 1:
+        section = model.subquadrangle_section(members)
+    partner = model.antipode_index_map(section) if section is not None else None
+    pairs = [
+        (i, int(partner[i]))
+        for i in members
+        if partner is not None and int(partner[i]) > i and int(partner[i]) in members
+    ]
+    pair_rows = np.array([i for i, _ in pairs], dtype=np.int64)
+    pair_cols = np.array([j for _, j in pairs], dtype=np.int64)
+    coords = quadric.coords
+    hyper = quadric.space.coords
+    size_by_kind = {
+        q * q + 1: SectionType.ELLIPTIC,
+        (q + 1) * (q + 1): SectionType.HYPERBOLIC,
+        q * q + q + 1: SectionType.CONE,
+    }
+    hist = {kind: {} for kind in SectionType}
+    pair_hist = {kind: {} for kind in SectionType}
+    for start in range(0, hyper.shape[0], 512):
+        rows = hyper[start : start + 512]
+        vals = np.zeros((rows.shape[0], coords.shape[0]), dtype=np.int16)
+        for c in range(5):
+            vals = f._add_np[vals, f._mul_np[rows[:, c][:, None], coords[:, c][None, :]]]
+        on = vals == 0
+        sizes = on.sum(axis=1)
+        k_counts = on[:, list(members)].sum(axis=1)
+        has_pair = (on[:, pair_rows] & on[:, pair_cols]).any(axis=1)
+        for r in range(rows.shape[0]):
+            kind = size_by_kind[int(sizes[r])]
+            kc = int(k_counts[r])
+            hist[kind][kc] = hist[kind].get(kc, 0) + 1
+            if has_pair[r]:
+                pair_hist[kind][kc] = pair_hist[kind].get(kc, 0) + 1
+    return hist, pair_hist
+
+
 # ----------------------------------------------------------------------
 # the census itself
 # ----------------------------------------------------------------------
@@ -91,12 +137,56 @@ def test_census_reference_lists(q):
     assert report.minus3_values == EXPECTED_MINUS3_VALUES[q]
 
 
-def test_census_small_chunks_agree():
-    model, members = model_and_example(3)
-    a = run_census(model, members)
-    b = run_census(model, members, chunk_rows=7)
-    assert a.histograms == b.histograms
-    assert a.pair_histograms == b.pair_histograms
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_census_matches_size_based_oracle(q):
+    model, members = model_and_example(q)
+    report = run_census(model, members)
+    histograms, pair_histograms = size_based_census(model, members)
+    assert report.histograms == histograms
+    assert report.pair_histograms == pair_histograms
+
+
+def test_pole_rule_on_random_partial_ovoid_q9():
+    # GF(9) has no size q^2 - 1 example; a greedy random partial ovoid of
+    # antipodal pairs across the model's seed section checks the pole
+    # rule over a non-prime field
+    model = build_q4_model(make_field(3, 2))
+    section = model.hyperbolic_seed
+    partner = model.antipode_index_map(section)
+    collinear = model.quadric.collinear
+    order = [i for i in range(model.gq.num_points) if partner[i] >= 0]
+    random.Random(9).shuffle(order)
+    members: list[int] = []
+    for i in order:
+        pair = [i, int(partner[i])]
+        if not collinear[i, pair[1]] and not collinear[np.ix_(pair, members)].any():
+            members += pair
+    report = run_census(model, members, section)
+    histograms, pair_histograms = size_based_census(model, members, section)
+    assert report.histograms == histograms
+    assert report.pair_histograms == pair_histograms
+    assert any(pair_histograms.values())
+    assert check_mass_conservation(report).ok
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_double_count_matches_scalar_count(q):
+    model, members = model_and_example(q)
+    report = run_census(model, members)
+    quadric = model.quadric
+    f = model.field
+    point = [int(v) for v in quadric.coords[0]]
+    through = 0
+    for h in range(len(quadric.space)):
+        coeffs = tuple(int(v) for v in quadric.space.coords[h])
+        val = 0
+        for c in range(5):
+            val = f.add(val, f.mul(coeffs[c], point[c]))
+        if val == 0 and int(quadric.section_mask(coeffs).sum()) == q * q + 1:
+            through += 1
+    result = check_double_count(report, model)
+    assert result.ok
+    assert result.detail.endswith(f"{through} elliptic per point")
 
 
 def test_census_of_ovoid_has_no_pair_flags():

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, artifacts, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -18,6 +19,13 @@ def stderr_json(err):
     doc = json.loads(err.strip().splitlines()[-1])
     assert "error" in doc
     return doc
+
+
+def only_json_error(err):
+    """stderr holds exactly one line, a JSON object with an error."""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, err
+    return stderr_json(err)
 
 
 # ----------------------------------------------------------------------
@@ -64,6 +72,13 @@ def test_build_respects_desk_cap(capsys):
     code, _, err = run(capsys, "build", "--q", "17", "--model", "q4")
     assert code == 2
     assert "OVOID_MAX_Q" in stderr_json(err)["error"]
+
+
+def test_bad_max_q_variable_is_a_json_failure(capsys, monkeypatch):
+    monkeypatch.setenv("OVOID_MAX_Q", "abc")
+    code, _, err = run(capsys, "build", "--q", "3", "--model", "q4")
+    assert code == 2
+    assert "OVOID_MAX_Q" in only_json_error(err)["error"]
 
 
 def test_usage_errors_are_json(capsys):
@@ -152,6 +167,45 @@ def test_verify_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--in", str(tmp_path / "nope.json"))
     assert code == 2
     stderr_json(err)
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{", b"[" * 100000])
+@pytest.mark.parametrize("command", ["verify", "census"])
+def test_malformed_set_file_is_a_json_failure(capsys, tmp_path, command, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, _, err = run(capsys, command, "--in", str(path))
+    assert code == 2
+    assert "not a JSON document" in only_json_error(err)["error"]
+
+
+@pytest.mark.parametrize("field", [{"p": 101, "h": 1}, {"p": 3, "h": 10**9}])
+def test_set_file_above_desk_cap_is_refused_before_building(capsys, tmp_path, field):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(
+        {"format": "ovoid-set", "version": 1, "model": "Q4", "field": field,
+         "size": 0, "members": []}
+    ))
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "verify", "--in", str(path))
+    assert code == 2
+    assert "desk-scale cap" in only_json_error(err)["error"]
+    assert time.perf_counter() - t0 < 5.0
+
+
+@pytest.mark.parametrize(
+    "model,members",
+    [("T2", [["a", 0, 0, 1]]), ("Q4", 5), ("Q4", [[1, 2]]), ("T2", [{"plane": None}])],
+)
+def test_malformed_members_are_a_json_failure(capsys, tmp_path, model, members):
+    path = tmp_path / "bad-members.json"
+    path.write_text(json.dumps(
+        {"format": "ovoid-set", "version": 1, "model": model,
+         "field": {"p": 3, "h": 1, "irreducible": [0, 1]}, "size": 1, "members": members}
+    ))
+    code, _, err = run(capsys, "verify", "--in", str(path))
+    assert code == 2
+    assert "bad member data" in only_json_error(err)["error"]
 
 
 def test_verify_report_out(capsys, tmp_path):

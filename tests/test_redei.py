@@ -1,6 +1,7 @@
 """Tests for the symmetric-function and plane-count machinery."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -8,15 +9,24 @@ import pytest
 from ovoid.gf import make_field
 from ovoid.redei import (
     RedeiError,
+    RedeiSuiteReport,
     affine_set,
     chi_closed,
+    chi_closed_all,
     chi_direct,
+    chi_direct_all,
     coordinate_sums,
+    factorization_mismatches,
     linear_values,
+    linear_values_all,
     newton_sigmas,
+    newton_sigmas_all,
     plane_point_count,
     power_sums,
+    power_sums_all,
     redei_coefficients,
+    redei_coefficients_all,
+    redei_suite_core,
     residue_set,
     run_redei_suite,
     sigma2_form,
@@ -59,6 +69,130 @@ def oracle_directions(field, points):
         inv = field.inv(lead)
         out.add(tuple(field.mul(inv, v) for v in d))
     return out
+
+
+def oracle_suite(u, conic):
+    """The identity suite as a scalar walk over directions, one checked
+    field operation at a time: the slow path the array suite must match
+    report for report, witnesses included."""
+    field = u.field
+    q = field.q
+    n = len(u)
+
+    checks: dict[str, bool] = {}
+    failures: list[tuple[str, tuple]] = []
+
+    def record(name: str, ok: bool, witness: tuple) -> None:
+        if name not in checks:
+            checks[name] = True
+        if not ok and checks[name]:
+            checks[name] = False
+            failures.append((name, witness))
+
+    record("sigma1_zero", coordinate_sums(field, u.points) == (0, 0, 0), ())
+
+    form = sigma2_form(u)
+    buckets = conic.classify_directions()
+    tangent_set = set(buckets["tangent"])
+    n_mod = n % field.p
+    minus_two = field.neg(2 % field.p)
+    sigma2_seen: set[int] = set()
+
+    for direction in conic.plane.points:
+        meets = conic.line_meets(direction) > 0
+        sigmas = redei_coefficients(u, direction)
+        s2 = sigmas[2]
+        sigma2_seen.add(s2)
+
+        record("form_matches_product", form.evaluate(direction) == s2, (direction,))
+
+        if meets:
+            rep = verify_redei_factorization(u, direction)
+            record("factorization", rep.passed, (direction, rep.first_mismatch))
+
+        power = power_sums(u, direction)
+        newton = newton_sigmas(field, power, q - 1)
+        record(
+            "newton_matches_product",
+            newton == sigmas[: q],
+            (direction,),
+        )
+        ok_power = all(power[j] == 0 for j in range(1, q, 2)) and all(
+            power[2 * l] == field.mul(minus_two, field.pow(s2, l))
+            for l in range((q - 1) // 2 + 1)
+        )
+        record("power_sum_pattern", ok_power, (direction,))
+        ok_sigma = all(sigmas[j] == 0 for j in range(1, q, 2)) and all(
+            sigmas[2 * l] == field.pow(s2, l) for l in range((q - 1) // 2 + 1)
+        )
+        record("sigma_pattern", ok_sigma, (direction,))
+
+        record(
+            "dual_zero_set",
+            (s2 == 0) == (direction in tangent_set),
+            (direction,),
+        )
+
+        values = linear_values(u, direction)
+        counts: dict[int, int] = {}
+        for v in values:
+            counts[v] = counts.get(v, 0) + 1
+        s2_square = field.is_square(s2)
+        for x in range(q):
+            chi_d = 0
+            for v in values:
+                chi_d = field.add(chi_d, field.pow(field.add(x, v), q - 1))
+            record(
+                "chi_two_paths", chi_d == chi_closed(field, x, s2), (direction, x)
+            )
+            on_plane = counts.get(field.neg(x), 0)
+            record(
+                "plane_congruence",
+                chi_d == field.sub(n_mod, on_plane % field.p),
+                (direction, x),
+            )
+            x2 = field.mul(x, x)
+            if s2 == 0:
+                expected = 0 if x == 0 else minus_two
+                ok_case = chi_d == expected
+            elif s2_square:
+                ok_case = chi_d == (field.neg(1) if x2 == s2 else minus_two)
+            else:
+                # chi = -2 (x^2 + s2) / (x^2 - s2); it vanishes exactly
+                # when x^2 = -s2, which has solutions iff -1 is a
+                # non-square (q = 3 mod 4) since s2 is a non-square here
+                ratio = field.div(field.add(x2, s2), field.sub(x2, s2))
+                ok_case = chi_d == field.mul(minus_two, ratio) and (
+                    (chi_d == 0) == (x2 == field.neg(s2))
+                )
+            record("chi_case_analysis", ok_case, (direction, x))
+            if meets:
+                # on lines meeting the conic, sigma2 is square-or-zero
+                # (both roots of X^2 - sigma2 lie in the field), so a
+                # vanishing chi forces sigma2 = 0 and x = 0 — the step
+                # that identifies the zero set of sigma2 with the
+                # tangent directions
+                record(
+                    "chi_zero_locus_on_conic_lines",
+                    chi_d != 0 or (s2 == 0 and x == 0),
+                    (direction, x),
+                )
+        if meets:
+            record("sigma2_square_on_conic_lines", s2_square, (direction,))
+        if direction in tangent_set:
+            record(
+                "tangent_plane_count", counts.get(0, 0) == q - 2, (direction,)
+            )
+
+    record("sigma2_range_full", sigma2_seen == set(range(q)), ())
+
+    return RedeiSuiteReport(
+        q=q,
+        set_size=n,
+        sigma2_rank=form.rank,
+        checks=checks,
+        failures=failures,
+    )
 
 
 def random_affine_set(field, n, seed):
@@ -411,3 +545,121 @@ def test_suite_flags_extendable_set():
     assert not report.checks["dual_zero_set"]
     assert not report.checks["sigma2_range_full"]
     assert not report.checks["tangent_plane_count"]
+
+
+# ----------------------------------------------------------------------
+# the array suite against the scalar oracle
+# ----------------------------------------------------------------------
+
+def random_zero_sum_set(field, seed):
+    """q^2 - 2 random affine points translated to zero sums: a set of the
+    identity's size that fails most of its checks."""
+    q = field.q
+    return translate_to_zero_sum(random_affine_set(field, q * q - 2, seed))
+
+
+def report_bytes(report):
+    return json.dumps(report.to_json())
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_suite_matches_oracle_on_found_examples(q):
+    model, members = found_example(q)
+    u = translate_to_zero_sum(affine_set(model.field, model.u_from_k(members)))
+    report = run_redei_suite(model, members)
+    assert report.passed
+    assert report_bytes(report) == report_bytes(oracle_suite(u, model.conic))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_suite_core_matches_oracle_on_failing_sets(q, seed):
+    model = build_t2_model(make_field(q))
+    u = random_zero_sum_set(model.field, seed)
+    report = redei_suite_core(u, model.conic)
+    assert not report.passed
+    assert report_bytes(report) == report_bytes(oracle_suite(u, model.conic))
+
+
+def test_suite_matches_oracle_on_extendable_set():
+    model = build_t2_model(make_field(5))
+    u = translate_to_zero_sum(plane_drop_set(model, drop=(0, 7)))
+    report = redei_suite_core(u, model.conic)
+    assert report_bytes(report) == report_bytes(oracle_suite(u, model.conic))
+
+
+def test_suite_core_preconditions():
+    model = build_t2_model(make_field(3))
+    with pytest.raises(RedeiError, match="q\\^2 - 2"):
+        redei_suite_core(random_affine_set(model.field, 5, 0), model.conic)
+    untranslated = random_affine_set(model.field, 7, 3)
+    assert not untranslated.translated
+    with pytest.raises(RedeiError, match="zero-sum"):
+        redei_suite_core(untranslated, model.conic)
+
+
+@pytest.mark.parametrize("p,h", [(5, 1), (3, 2)])
+def test_kernels_match_scalar_functions(p, h):
+    field = make_field(p, h)
+    q = field.q
+    model = build_t2_model(field)
+    u = random_zero_sum_set(field, 11)
+    directions = model.conic.plane.points
+    values = linear_values_all(u, directions)
+    sigmas = redei_coefficients_all(field, values)
+    power = power_sums_all(field, values, q - 1)
+    chi = chi_direct_all(field, values)
+    closed = chi_closed_all(field, sigmas[:, 2])
+    for d, direction in enumerate(directions):
+        assert values[d].tolist() == linear_values(u, direction)
+        assert sigmas[d].tolist() == redei_coefficients(u, direction)
+        assert power[d].tolist() == power_sums(u, direction)
+        assert chi[d].tolist() == [chi_direct(u, x, direction) for x in range(q)]
+        assert closed[d].tolist() == [
+            chi_closed(field, x, int(sigmas[d, 2])) for x in range(q)
+        ]
+    if h == 1:
+        newton = newton_sigmas_all(field, power, q - 1)
+        for d, direction in enumerate(directions):
+            assert newton[d].tolist() == newton_sigmas(field, power_sums(u, direction), q - 1)
+    else:
+        with pytest.raises(RedeiError, match="sigma_3"):
+            newton_sigmas_all(field, power, q - 1)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_factorization_mismatches_match_scalar_check(q):
+    model, members = found_example(q)
+    found = translate_to_zero_sum(affine_set(model.field, model.u_from_k(members)))
+    directions = model.conic.plane.points
+    for u in (found, random_zero_sum_set(model.field, 5)):
+        sigmas = redei_coefficients_all(model.field, linear_values_all(u, directions))
+        batched = factorization_mismatches(model.field, sigmas)
+        for direction, first in zip(directions, batched):
+            rep = verify_redei_factorization(u, direction)
+            assert first == (None if rep.passed else rep.first_mismatch)
+
+
+# ----------------------------------------------------------------------
+# an outside oracle: sympy polynomial arithmetic over GF(p)
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_identity_against_sympy(q):
+    sympy = pytest.importorskip("sympy")
+    X = sympy.Symbol("X")
+    model, members = found_example(q)
+    u = translate_to_zero_sum(affine_set(model.field, model.u_from_k(members)))
+    buckets = model.conic.classify_directions()
+    meeting = buckets["tangent"] + buckets["secant"]
+    chosen = random.Random(q).sample(meeting, 4)
+    sigmas = redei_coefficients_all(model.field, linear_values_all(u, chosen))
+    target = sympy.Poly(X ** (q * q) - X**q, X, modulus=q)
+    for row, (y, z, w) in enumerate(chosen):
+        product = sympy.Poly(1, X, modulus=q)
+        for a, b, c in u.points:
+            product *= sympy.Poly(X + (a * y + b * z + c * w), X, modulus=q)
+        n = len(u)
+        sigma2 = int(product.coeff_monomial(X ** (n - 2))) % q
+        assert sigma2 == int(sigmas[row, 2])
+        assert product * sympy.Poly(X**2 - sigma2, X, modulus=q) == target
