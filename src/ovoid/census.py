@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -29,6 +29,7 @@ from ovoid.gf import mat_rref
 from ovoid.gq import check_partial_ovoid
 from ovoid.q4 import Q4Model
 from ovoid.redei import residue_set
+from ovoid.search import antipode_pairs
 
 # distinct |elliptic section ∩ K| values for the size-(q^2 - 1) examples,
 # and the two values realizing the antipode-pair residue -3 mod q
@@ -98,18 +99,23 @@ class CensusReport:
         }
 
 
+def _partner_pairs(model: Q4Model, section: Section) -> list[tuple[int, int]]:
+    """Antipode pairs (i, j), i < j, across a hyperbolic section."""
+    if section.kind is not SectionType.HYPERBOLIC:
+        raise GeometryError("antipodes need a hyperbolic section")
+    return antipode_pairs(model.gq, section.point_local)
+
+
 def _antipode_pairs_within(
     model: Q4Model, section: Section, members: tuple[int, ...]
 ) -> list[tuple[int, int]]:
     """Unordered member pairs (i, j), i < j, that are antipodal partners."""
-    partner = model.antipode_index_map(section)
     member_set = set(members)
-    pairs = []
-    for i in members:
-        j = int(partner[i])
-        if j > i and j in member_set:
-            pairs.append((i, j))
-    return pairs
+    return [
+        (i, j)
+        for i, j in _partner_pairs(model, section)
+        if i in member_set and j in member_set
+    ]
 
 
 def _incidence(f, hyper: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -296,10 +302,12 @@ def check_antipode_minus3(report: CensusReport) -> CheckResult:
 
 def check_antipode_closure(model: Q4Model, section: Section, members) -> CheckResult:
     members = set(int(i) for i in members)
-    partner = model.antipode_index_map(section)
+    partner = {}
+    for i, j in _partner_pairs(model, section):
+        partner[i], partner[j] = j, i
     for i in sorted(members):
-        j = int(partner[i])
-        if j < 0:
+        j = partner.get(i)
+        if j is None:
             return CheckResult(False, f"member {i} lies on the grid section")
         if j not in members:
             return CheckResult(False, f"antipode {j} of member {i} is missing")

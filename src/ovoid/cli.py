@@ -13,17 +13,16 @@ Subcommands
 Every command prints short human-readable lines on stdout and reports
 failures as one JSON object on stderr with a nonzero exit status.  Runs
 that produce artifacts also produce a manifest whose digest is a SHA-256
-of the canonical JSON of the run's configuration and results; repeated
-deterministic runs yield identical digests.
-
-The ``--threads`` flag is accepted and recorded in manifests for
-forward compatibility, but execution is sequential throughout.
+of the canonical JSON of the run's command, field and results; repeated
+deterministic runs yield identical digests.  ``--seed`` exists on
+``search`` only, where it seeds ``--mode random``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -42,7 +41,7 @@ from .census import (
     write_census_json,
 )
 from .geometry import GeometryError
-from .gf import Field, FieldError, make_field
+from .gf import TABLE_LIMIT, Field, FieldError, make_field
 from .gq import GQError
 from .io import (
     StorageError,
@@ -57,7 +56,6 @@ from .redei import RedeiError, residue_set
 from .search import SearchConfig, SearchError, search_maximal
 from .verify import (
     find_example,
-    invariant_profile,
     seed_grid,
     verify_members,
 )
@@ -97,10 +95,16 @@ def _emit_error(message: str, extra: Optional[dict] = None) -> None:
 
 
 def _prime_power(q: int) -> Optional[tuple[int, int]]:
-    """Write q as p^h with p prime, or return None."""
+    """Write q as p^h with p prime, or return None.
+
+    Trial division stops at ``TABLE_LIMIT``, so a huge q costs no more
+    than a small one.  A q with no factor up to there is taken as prime:
+    that is exact for q <= TABLE_LIMIT^2, and a larger q is refused later
+    by the desk-scale cap or by the field's table limit.
+    """
     if q < 2:
         return None
-    p = next(d for d in range(2, q + 1) if q % d == 0)
+    p = next((d for d in range(2, min(math.isqrt(q), TABLE_LIMIT) + 1) if q % d == 0), q)
     n, h = q, 0
     while n % p == 0:
         n //= p
@@ -141,10 +145,9 @@ def run_manifest(
     """Assemble a run manifest with a digest over its stable parts.
 
     The digest covers the command, the field, and the results — the
-    parts a deterministic rerun must reproduce.  Configuration knobs
-    that cannot affect results (worker cap, output paths) and the wall
-    time are recorded alongside but never hashed, so reruns agree
-    digest-for-digest across thread counts and artifact locations.
+    parts a deterministic rerun must reproduce.  The configuration, the
+    output paths and the wall time are recorded alongside but never
+    hashed, so reruns agree digest-for-digest across artifact locations.
     """
     body = {
         "command": command,
@@ -206,7 +209,7 @@ def cmd_build(args) -> int:
     }
     manifest = run_manifest(
         "build",
-        {"q": args.q, "model": name, "threads": args.threads},
+        {"q": args.q, "model": name},
         field,
         results,
         wall_time=elapsed,
@@ -256,7 +259,6 @@ def cmd_search(args) -> int:
         "seed": args.seed,
         "budget": args.budget,
         "root": root,
-        "threads": args.threads,
     }
     if not outcome.found:
         raise CLIError(
@@ -321,7 +323,6 @@ def cmd_verify(args) -> int:
             "expect_size": args.expect_size,
             "identities": not args.skip_identities,
             "profile": args.profile,
-            "threads": args.threads,
         },
         model.field,
         doc,
@@ -380,7 +381,7 @@ def cmd_census(args) -> int:
     results["checks"] = {k: v.ok for k, v in checks.items()}
     manifest = run_manifest(
         "census",
-        {"infile": str(args.infile), "threads": args.threads},
+        {"infile": str(args.infile)},
         model.field,
         results,
         paths,
@@ -401,9 +402,7 @@ def cmd_residues(args) -> int:
         raise CLIError(str(exc)) from exc
     print(f"q={field.q}: residue set {values}")
     results = {"q": field.q, "residues": values}
-    manifest = run_manifest(
-        "residues", {"q": args.q, "threads": args.threads}, field, results
-    )
+    manifest = run_manifest("residues", {"q": args.q}, field, results)
     if args.out:
         _write_json(args.out, manifest)
         print(f"wrote {args.out}")
@@ -444,7 +443,7 @@ def cmd_pipeline(args) -> int:
     for name in ("Q4", "T2"):
         model = cached_model(name, field)
         step(f"{name}: built ({model.gq.num_points} points)")
-        outcome = find_example(model, seed=args.seed, time_budget=args.budget)
+        outcome = find_example(model, time_budget=args.budget)
         if not outcome.found:
             raise CLIError(
                 f"{name}: search {outcome.status} after {outcome.nodes} nodes; "
@@ -455,7 +454,7 @@ def cmd_pipeline(args) -> int:
         members = outcome.members
         step(f"{name}: found size {len(members)} ({outcome.nodes} nodes, {outcome.elapsed:.2f} s)")
         set_path = out_dir / f"{name.lower()}-example.json"
-        save_point_set(set_path, model, members, meta={"seed": args.seed})
+        save_point_set(set_path, model, members)
         paths[f"{name.lower()}_set"] = set_path
 
         report = verify_members(model, members, include_profile=True)
@@ -547,9 +546,7 @@ def cmd_pipeline(args) -> int:
         "pipeline",
         {
             "q": q,
-            "seed": args.seed,
             "budget": args.budget,
-            "threads": args.threads,
             "stretch": bool(args.stretch),
         },
         field,
@@ -587,13 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--model", default="q4", help="q4 (quadric) or t2 (affine)"
             )
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="worker cap, recorded in manifests (execution is sequential)",
-        )
         return p
 
     p = common(sub.add_parser("build", help="construct and verify a model"), model=True)
@@ -609,6 +599,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="pairs (partner-paired DFS), exact (point DFS), random (restarts)",
     )
     p.add_argument("--budget", type=float, help="time budget in seconds")
+    p.add_argument(
+        "--seed", type=int, default=0, help="RNG seed of --mode random (default 0)"
+    )
     p.add_argument(
         "--root",
         type=int,

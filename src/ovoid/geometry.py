@@ -13,11 +13,11 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from ovoid.gf import Field, mat_nullspace, mat_rank
+from ovoid.gf import Field, mat_nullspace
 
 
 class GeometryError(ValueError):
@@ -36,7 +36,6 @@ class ProjectiveSpace:
     def __init__(self, n: int, field: Field):
         if n < 1:
             raise GeometryError(f"projective dimension must be >= 1, got {n}")
-        field._need_tables()
         self.n = n
         self.field = field
         q = field.q
@@ -82,9 +81,6 @@ class ProjectiveSpace:
     def pairing_all(self, vec: Sequence[int]) -> np.ndarray:
         """Pairing of one coefficient vector against every point."""
         return self.field.dot_arr(self.coords, tuple(int(v) for v in vec))
-
-    def hyperplane_mask(self, coeffs: Sequence[int]) -> np.ndarray:
-        return self.pairing_all(coeffs) == 0
 
     def line_points(self, u: Sequence[int], v: Sequence[int]) -> list[tuple[int, ...]]:
         """The q + 1 points of the line spanned by two distinct points."""
@@ -252,10 +248,6 @@ class Quadric:
         if not np.array_equal(coll, coll.T):  # pragma: no cover
             raise GeometryError("collinearity matrix is not symmetric")
         self.collinear = coll
-        self.collinear_bits: tuple[int, ...] = tuple(
-            int.from_bytes(np.packbits(coll[i], bitorder="little").tobytes(), "little")
-            for i in range(n)
-        )
 
     def __len__(self) -> int:
         return self.size
@@ -328,47 +320,6 @@ class Quadric:
                 f"points span a flat of codimension {len(basis)}, not a hyperplane"
             )
         return self.space.normalize(basis[0])
-
-    # -- antipodes across a hyperbolic section --------------------------
-
-    def antipode(self, section: Section, i: int) -> int:
-        """The partner of an off-section point across a hyperbolic section.
-
-        The q + 1 section points collinear with the point form a conic;
-        intersecting the tangent hyperplanes of all conic points cuts the
-        quadric in exactly two points, the given one and its partner.
-        """
-        if section.kind is not SectionType.HYPERBOLIC:
-            raise GeometryError("antipodes need a hyperbolic section")
-        mask = np.zeros(self.size, dtype=bool)
-        mask[list(section.point_local)] = True
-        if mask[i]:
-            raise GeometryError("antipodes are defined only off the section")
-        conic = np.flatnonzero(mask & self.collinear[i])
-        q = self.field.q
-        if len(conic) != q + 1:  # pragma: no cover
-            raise GeometryError(f"expected a conic of {q + 1} points, got {len(conic)}")
-        common = np.logical_and.reduce(self.collinear[conic])
-        common[i] = False
-        partners = np.flatnonzero(common)
-        if len(partners) != 1:  # pragma: no cover
-            raise GeometryError(f"expected a unique antipode, got {len(partners)}")
-        partner = int(partners[0])
-        if mask[partner]:  # pragma: no cover
-            raise GeometryError("antipode landed on the section")
-        return partner
-
-    def antipode_map(self, section: Section) -> np.ndarray:
-        """Antipode partner for every point, -1 on the section itself."""
-        out = np.full(self.size, -1, dtype=np.int64)
-        on = np.zeros(self.size, dtype=bool)
-        on[list(section.point_local)] = True
-        for i in range(self.size):
-            if not on[i] and out[i] < 0:
-                j = self.antipode(section, i)
-                out[i] = j
-                out[j] = i
-        return out
 
 
 def parabolic_quadric(field: Field) -> Quadric:

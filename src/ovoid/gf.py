@@ -6,10 +6,10 @@ is stored as ``a0 + a1*p + ... + a_{h-1}*p**(h-1)``.  The scalars of the
 prime subfield therefore encode as themselves, so ``0`` and ``1`` are the
 additive and multiplicative identities in every field.
 
-For ``q <= TABLE_LIMIT`` every binary operation is table driven, and the
-tables are also exposed as numpy arrays so bulk incidence kernels can run
-as vectorized gathers.  Larger fields fall back to on-the-fly polynomial
-arithmetic (no vector API).
+Every field is table driven: the constructor builds addition,
+multiplication, inverse and square-root tables, as Python lists for the
+scalar operations and as numpy arrays so bulk incidence kernels can run
+as vectorized gathers.  Fields above ``TABLE_LIMIT`` elements are refused.
 """
 
 from __future__ import annotations
@@ -113,12 +113,16 @@ class Field:
     """The finite field GF(p^h), p an odd prime, with int-encoded elements."""
 
     def __init__(self, p: int, h: int, irreducible: Optional[Sequence[int]] = None):
+        if h < 1:
+            raise FieldError(f"extension degree must be positive, got {h}")
+        # first, and without computing p^h for an absurd h, so an oversized
+        # request costs nothing (testing a huge p for primality would)
+        if h > TABLE_LIMIT.bit_length() or p**h > TABLE_LIMIT:
+            raise FieldError(f"GF({p}^{h}) exceeds the table limit q <= {TABLE_LIMIT}")
         if not _is_prime(p):
             raise FieldError(f"p must be prime, got {p}")
         if p == 2:
             raise FieldError("characteristic 2 is not supported")
-        if h < 1:
-            raise FieldError(f"extension degree must be positive, got {h}")
         self.p = p
         self.h = h
         self.q = p**h
@@ -131,9 +135,7 @@ class Field:
             if h > 1 and not _is_irreducible(irreducible, p):
                 raise FieldError(f"{irreducible} is reducible over GF({p})")
         self.irreducible = irreducible
-        self.has_tables = self.q <= TABLE_LIMIT
-        if self.has_tables:
-            self._build_tables()
+        self._build_tables()
 
     # -- encoding ------------------------------------------------------
 
@@ -154,10 +156,6 @@ class Field:
         if val >= self.q:
             raise FieldError(f"too many coordinates for GF({self.q})")
         return val
-
-    def embed(self, n: int) -> int:
-        """Image of the rational integer n in the prime subfield."""
-        return n % self.p
 
     def elements(self) -> Iterator[int]:
         return iter(range(self.q))
@@ -221,17 +219,11 @@ class Field:
     def add(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if self.has_tables:
-            return self._add_py[a][b]
-        return self.encode(
-            (x + y) % self.p for x, y in zip(self.coeffs(a), self.coeffs(b))
-        )
+        return self._add_py[a][b]
 
     def neg(self, a: int) -> int:
         self._check(a)
-        if self.has_tables:
-            return self._neg_py[a]
-        return self.encode((-x) % self.p for x in self.coeffs(a))
+        return self._neg_py[a]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -239,19 +231,13 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if self.has_tables:
-            return self._mul_py[a][b]
-        prod = _poly_mul(self.coeffs(a), self.coeffs(b), self.p)
-        _, rem = _poly_divmod(prod, self.irreducible, self.p)
-        return self.encode(rem + (0,) * (self.h - len(rem)))
+        return self._mul_py[a][b]
 
     def inv(self, a: int) -> int:
         self._check(a)
         if a == 0:
             raise FieldError("0 has no multiplicative inverse")
-        if self.has_tables:
-            return self._inv_py[a]
-        return self.pow(a, self.q - 2)
+        return self._inv_py[a]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -272,44 +258,24 @@ class Field:
 
     def is_square(self, a: int) -> bool:
         self._check(a)
-        if self.has_tables:
-            return self._square_py[a]
-        return a == 0 or self.pow(a, (self.q - 1) // 2) == 1
+        return self._square_py[a]
 
     def sqrt(self, a: int) -> Optional[int]:
         """Smallest square root of a, or None when a is a non-square."""
         self._check(a)
-        if self.has_tables:
-            r = self._sqrt_py[a]
-            return None if r < 0 else r
-        for x in range(self.q):
-            if self.mul(x, x) == a:
-                return x
-        return None
+        r = self._sqrt_py[a]
+        return None if r < 0 else r
 
-    # -- vectorized arithmetic (table fields only) -----------------------
-
-    def _need_tables(self) -> None:
-        if not self.has_tables:
-            raise FieldError(
-                f"vector kernels need lookup tables (q <= {TABLE_LIMIT}), q = {self.q}"
-            )
+    # -- vectorized arithmetic -------------------------------------------
 
     def add_arr(self, a, b):
-        self._need_tables()
         return self._add_np[a, b]
 
     def mul_arr(self, a, b):
-        self._need_tables()
         return self._mul_np[a, b]
-
-    def neg_arr(self, a):
-        self._need_tables()
-        return self._neg_np[a]
 
     def sum_arr(self, arr: np.ndarray) -> np.ndarray:
         """Field sum along the last axis, by pairwise table additions."""
-        self._need_tables()
         add = self._add_np
         arr = np.asarray(arr, dtype=np.int16)
         if arr.shape[-1] == 0:
@@ -322,7 +288,6 @@ class Field:
 
     def dot_arr(self, mat: np.ndarray, vec: Sequence[int]) -> np.ndarray:
         """Row-wise dot products of an element matrix with a fixed vector."""
-        self._need_tables()
         acc = np.zeros(mat.shape[0], dtype=np.int16)
         for j, c in enumerate(vec):
             if c:

@@ -95,17 +95,13 @@ class GQ:
     """A verified generalized quadrangle with cached incidence bitsets."""
 
     def __init__(
-        self,
-        lines: Sequence[Sequence[int]],
-        num_points: Optional[int] = None,
-        labels: Optional[Sequence[object]] = None,
+        self, lines: Sequence[Sequence[int]], num_points: Optional[int] = None
     ):
         lines = tuple(tuple(sorted(int(i) for i in line)) for line in lines)
         if num_points is None:
             num_points = 1 + max(max(line) for line in lines)
         self.num_points = num_points
         self.lines = lines
-        self.labels = tuple(labels) if labels is not None else None
         self.s, self.t = verify_gq(num_points, lines)
 
         self.point_lines: tuple[tuple[int, ...], ...] = tuple(
@@ -123,9 +119,6 @@ class GQ:
 
     def collinear(self, i: int, j: int) -> bool:
         return bool((self.collinear_bits[i] >> j) & 1)
-
-    def label(self, i: int) -> object:
-        return self.labels[i] if self.labels is not None else i
 
 
 def _invert_incidence(num_points, lines):

@@ -1,4 +1,4 @@
-"""Saving and loading point sets, plus a model registry and build cache.
+"""Saving and loading point sets, plus the model registry.
 
 A *set file* is a small JSON document naming the ambient model, the field
 it was built over, and the member points in the model's own coordinate
@@ -6,10 +6,9 @@ encoding.  Files written by one process can be reloaded by another without
 re-running any search, and the embedded field data pins down the arithmetic
 exactly (the reduction polynomial is stored, not just ``q``).
 
-Model construction is pure but not cheap for larger fields, so
-:func:`cached_model` can memoize built models as pickles under a directory
-named by the ``OVOID_CACHE_DIR`` environment variable.  Caching is off
-unless that variable (or an explicit ``cache_dir``) is set.
+:func:`cached_model` builds a model by name, and every field a set file
+or the command line asks for is first held to the desk-scale cap
+(``OVOID_MAX_Q``, default 13).
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
@@ -31,7 +29,6 @@ __all__ = [
     "DEFAULT_MAX_Q",
     "desk_cap",
     "check_desk_cap",
-    "build_model",
     "cached_model",
     "save_point_set",
     "load_point_set",
@@ -43,7 +40,6 @@ DEFAULT_MAX_Q = 13
 
 SET_FORMAT = "ovoid-set"
 SET_VERSION = 1
-CACHE_VERSION = 1
 
 Model = Union[Q4Model, T2Model]
 
@@ -82,8 +78,13 @@ def check_desk_cap(p: int, h: int, max_q: Optional[int] = None) -> None:
         )
 
 
-def build_model(name: str, field: Field) -> Model:
-    """Build the named model (``"Q4"`` or ``"T2"``) over ``field``."""
+def cached_model(name: str, field: Field) -> Model:
+    """Build the named model (``"Q4"`` or ``"T2"``) over ``field``.
+
+    This is the one model constructor of the command line and of set-file
+    loading.  Nothing is cached: the name predates the removal of an
+    on-disk cache and is kept because ``perfbench`` traces it by name.
+    """
     try:
         builder = _BUILDERS[name]
     except KeyError:
@@ -91,56 +92,6 @@ def build_model(name: str, field: Field) -> Model:
             f"unknown model {name!r}, expected one of {list(MODEL_NAMES)}"
         ) from None
     return builder(field)
-
-
-def _cache_path(cache_dir: Path, name: str, field: Field) -> Path:
-    tag = "-".join(str(c) for c in field.irreducible)
-    return cache_dir / f"{name.lower()}-p{field.p}-h{field.h}-r{tag}-v{CACHE_VERSION}.pickle"
-
-
-def cached_model(
-    name: str, field: Field, cache_dir: Optional[Union[str, Path]] = None
-) -> Model:
-    """Build a model, memoizing it on disk when a cache directory is set.
-
-    The directory comes from ``cache_dir`` or the ``OVOID_CACHE_DIR``
-    environment variable; with neither set this is a plain build.  A stale
-    or unreadable cache entry is rebuilt and overwritten, never trusted.
-    """
-    if cache_dir is None:
-        cache_dir = os.environ.get("OVOID_CACHE_DIR")
-    if not cache_dir:
-        return build_model(name, field)
-    root = Path(cache_dir)
-    root.mkdir(parents=True, exist_ok=True)
-    path = _cache_path(root, name, field)
-    if path.exists():
-        try:
-            with open(path, "rb") as fh:
-                payload = pickle.load(fh)
-            if (
-                isinstance(payload, dict)
-                and payload.get("version") == CACHE_VERSION
-                and payload.get("name") == name
-                and payload.get("field") == field.to_json()
-            ):
-                return payload["model"]
-        except Exception:
-            pass  # fall through to a clean rebuild
-    model = build_model(name, field)
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "wb") as fh:
-        pickle.dump(
-            {
-                "version": CACHE_VERSION,
-                "name": name,
-                "field": field.to_json(),
-                "model": model,
-            },
-            fh,
-        )
-    os.replace(tmp, path)
-    return model
 
 
 # ----------------------------------------------------------------------
@@ -184,9 +135,7 @@ def save_point_set(
 
 
 def load_point_set(
-    path: Union[str, Path],
-    model: Optional[Model] = None,
-    cache_dir: Optional[Union[str, Path]] = None,
+    path: Union[str, Path], model: Optional[Model] = None
 ) -> tuple[Model, tuple[int, ...]]:
     """Read a set file, returning ``(model, member indices)``.
 
@@ -219,7 +168,7 @@ def load_point_set(
     except Exception as exc:
         raise StorageError(f"{path}: bad field data ({exc})") from exc
     if model is None:
-        model = cached_model(name, field, cache_dir=cache_dir)
+        model = cached_model(name, field)
     elif model.name != name or model.field != field:
         raise StorageError(
             f"{path}: file is for {name} over {field!r}, "

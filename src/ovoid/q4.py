@@ -2,15 +2,13 @@
 
 Points are the quadric points, lines its totally isotropic lines; the
 order is (q, q).  The model keeps the geometric layer alongside, so
-hyperplane sections, tangent hyperplanes and antipode partners across a
-hyperbolic section stay available on quadrangle point indices.
+hyperplane sections and tangent hyperplanes stay available on quadrangle
+point indices.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import Iterable
 
 from ovoid.geometry import (
     GeometryError,
@@ -20,7 +18,7 @@ from ovoid.geometry import (
     parabolic_quadric,
 )
 from ovoid.gf import Field
-from ovoid.gq import GQ, GQError, PartialOvoid, uncovered_subquadrangle
+from ovoid.gq import GQ, GQError, uncovered_subquadrangle
 
 HYPERBOLIC_SEED = (1, 0, 0, 0, 0)  # X0 = 0 cuts the split form hyperbolically
 
@@ -33,11 +31,7 @@ class Q4Model:
     def __init__(self, field: Field):
         self.field = field
         self.quadric: Quadric = parabolic_quadric(field)
-        self.gq = GQ(
-            self.quadric.lines(),
-            num_points=len(self.quadric),
-            labels=self.quadric.points,
-        )
+        self.gq = GQ(self.quadric.lines(), num_points=len(self.quadric))
         if (self.gq.s, self.gq.t) != (field.q, field.q):
             raise GQError(
                 f"expected order ({field.q}, {field.q}), got {(self.gq.s, self.gq.t)}"
@@ -54,10 +48,7 @@ class Q4Model:
             raise GeometryError(f"bad member encoding for model Q4: {obj!r}")
         return self.quadric.local_index(tuple(int(c) for c in obj))
 
-    # -- masks and sections ---------------------------------------------
-
-    def section_point_mask(self, section: Section) -> int:
-        return sum(1 << i for i in section.point_local)
+    # -- sections ---------------------------------------------------------
 
     def subquadrangle_section(self, members: Iterable[int]) -> Section:
         """The hyperbolic section carried by the uncovered-line structure.
@@ -77,9 +68,6 @@ class Q4Model:
         if section.point_local != sub.point_indices:
             raise GeometryError("uncovered points are not the full hyperplane section")
         return section
-
-    def antipode_index_map(self, section: Section) -> np.ndarray:
-        return self.quadric.antipode_map(section)
 
 
 def build_q4_model(field: Field) -> Q4Model:

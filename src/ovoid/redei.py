@@ -521,9 +521,7 @@ def residue_set(field: Field) -> frozenset[int]:
 
 def linear_values_all(u: AffineSet, directions) -> np.ndarray:
     """(directions x |U|) array whose row d is linear_values(u, d)."""
-    field = u.field
-    field._need_tables()
-    add, mul = field._add_np, field._mul_np
+    add, mul = u.field._add_np, u.field._mul_np
     pts = np.array(u.points, dtype=np.int16).reshape(-1, 3)
     dirs = np.asarray(directions, dtype=np.int16).reshape(-1, 3)
     out = np.zeros((dirs.shape[0], pts.shape[0]), dtype=np.int16)

@@ -1,13 +1,18 @@
 """Backtracking searches for maximal partial ovoids.
 
-All engines work on the bitset incidence of a verified quadrangle.  The
-deterministic depth-first modes explore candidates in ascending index
-order and return the lexicographically first witness, so reruns are
-reproducible bit for bit; the randomized mode restarts a seeded greedy
-completion until the budget runs out.
+Every search runs over a universe of adjacency bitsets: the points of a
+verified quadrangle (``gq.collinear_bits``) or the antipode pairs across
+a grid subquadrangle (``PairedUniverse.pair_adj``).  Rows are
+self-inclusive, so choosing an element removes its own row from the
+candidates.  One depth-first walker serves every deterministic search and
+audit: it extends a start prefix in ascending index order and hands each
+full-depth set to a leaf predicate, so reruns are reproducible bit for
+bit and the first witness is the lexicographically first.  One restart
+loop serves the randomized mode, a seeded greedy completion repeated
+until the budget runs out.
 
-The paired mode fixes a grid subquadrangle (a hyperbolic section in the
-orthogonal model) and searches over antipode pairs: the partner of an
+The paired universe fixes a grid subquadrangle (a hyperbolic section in
+the orthogonal model) and searches over antipode pairs: the partner of an
 off-grid point is the unique second point collinear with the whole conic
 of grid points collinear with the first.  Selecting whole pairs keeps
 every candidate set antipode closed by construction.
@@ -17,10 +22,13 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional, Sequence
 
 from ovoid.gq import GQ, GQError, check_partial_ovoid, extension_bits
+
+# leaf(chosen, candidates) -> True to stop the walk (or accept a restart)
+Leaf = Callable[[list[int], int], bool]
 
 
 class SearchError(ValueError):
@@ -34,7 +42,6 @@ class SearchConfig:
     seed: int = 0
     time_budget: Optional[float] = None  # seconds, None is unlimited
     root_fix: Optional[int] = None  # point index (exact) or pair index (paired)
-    deterministic: bool = True
 
 
 @dataclass
@@ -50,55 +57,49 @@ class SearchOutcome:
         return self.status == "found"
 
 
-def _deadline(cfg: SearchConfig) -> Optional[float]:
-    return None if cfg.time_budget is None else time.monotonic() + cfg.time_budget
-
-
 # ----------------------------------------------------------------------
-# exact point-level DFS
+# the walker and the restart loop
 # ----------------------------------------------------------------------
 
-def _dfs_points(
-    gq: GQ,
+def _start(adj: Sequence[int], prefix: Sequence[int]) -> int:
+    """Candidates left by the prefix; every prefix index must be in range."""
+    cands = (1 << len(adj)) - 1
+    for i in prefix:
+        if not 0 <= i < len(adj):
+            raise SearchError(f"root {i} out of range 0..{len(adj) - 1}")
+        cands &= ~adj[i]
+    return cands
+
+
+def _walk(
+    adj: Sequence[int],
     target: int,
-    root: Optional[int],
-    deadline: Optional[float],
-    collect: Optional[list[tuple[int, ...]]] = None,
-) -> SearchOutcome:
-    """Ascending-order DFS for maximal partial ovoids of exact size.
+    leaf: Leaf,
+    prefix: Sequence[int] = (),
+    cands: Optional[int] = None,
+    deadline: Optional[float] = None,
+) -> tuple[int, bool]:
+    """Depth-first walk from ``prefix`` to every set of ``target`` elements.
 
-    A leaf at full depth is accepted iff no point extends the set, which
-    with self-inclusive collinearity bitsets is exactly "the complement
-    of the union of collinear sets is empty".  When ``collect`` is given
-    every witness is recorded and the walk continues to exhaustion.
+    Elements after the prefix come in ascending order, above the prefix's
+    last element, from ``cands`` (by default what the prefix leaves); each
+    choice removes its adjacency row.  Each full-depth set goes to
+    ``leaf(chosen, cands)``, which returns True to stop the walk.  Returns
+    the number of nodes and whether the deadline cut the walk short.
     """
-    coll = gq.collinear_bits
-    full = gq.full_mask
-    start = time.monotonic()
+    initial = _start(adj, prefix)  # checks the prefix in every mode
+    if cands is None:
+        cands = initial
+    full = (1 << len(adj)) - 1
+    chosen = list(prefix)
     nodes = 0
-    chosen: list[int] = []
-    first: Optional[tuple[int, ...]] = None
     timed_out = False
 
-    if root is not None:
-        chosen.append(root)
-        base_cands = full & ~coll[root]
-        base_last = root
-    else:
-        base_cands = full
-        base_last = -1
-
     def walk(cands: int, last: int) -> bool:
-        nonlocal nodes, first, timed_out
+        nonlocal nodes, timed_out
         depth = len(chosen)
         if depth == target:
-            if cands == 0:
-                first = tuple(chosen)
-                if collect is not None:
-                    collect.append(first)
-                    return False
-                return True
-            return False
+            return leaf(chosen, cands)
         need = target - depth
         avail = cands & (full << (last + 1))
         while avail:
@@ -113,21 +114,51 @@ def _dfs_points(
             i = low.bit_length() - 1
             avail ^= low
             chosen.append(i)
-            if walk(cands & ~coll[i], i):
+            if walk(cands & ~adj[i], i):
                 return True
             chosen.pop()
         return False
 
-    hit = walk(base_cands, base_last)
-    elapsed = time.monotonic() - start
-    if timed_out:
-        return SearchOutcome("timeout", None, nodes, elapsed)
-    if collect is not None:
-        status = "found" if collect else "exhausted"
-        return SearchOutcome(status, collect[0] if collect else None, nodes, elapsed)
-    if hit and first is not None:
-        return SearchOutcome("found", first, nodes, elapsed)
-    return SearchOutcome("exhausted", None, nodes, elapsed)
+    walk(cands, chosen[-1] if chosen else -1)
+    return nodes, timed_out
+
+
+def _random_bit(rng: random.Random, mask: int) -> int:
+    k = rng.randrange(mask.bit_count())
+    for _ in range(k):
+        mask &= mask - 1
+    return (mask & -mask).bit_length() - 1
+
+
+def _restart(
+    adj: Sequence[int],
+    target: int,
+    accept: Leaf,
+    prefix: Sequence[int],
+    deadline: Optional[float],
+    rng: random.Random,
+) -> tuple[Optional[list[int]], int, int]:
+    """Seeded greedy completions of the prefix until one of ``target``
+    elements is accepted or the deadline passes.
+
+    Returns the accepted set (None on timeout), the node count and the
+    number of restarts.
+    """
+    initial = _start(adj, prefix)
+    restarts = 0
+    nodes = 0
+    while deadline is None or time.monotonic() <= deadline:
+        restarts += 1
+        chosen = list(prefix)
+        cands = initial
+        while cands and len(chosen) < target:
+            nodes += 1
+            i = _random_bit(rng, cands)
+            chosen.append(i)
+            cands &= ~adj[i]
+        if len(chosen) == target and accept(chosen, cands):
+            return chosen, nodes, restarts
+    return None, nodes, restarts
 
 
 # ----------------------------------------------------------------------
@@ -135,7 +166,10 @@ def _dfs_points(
 # ----------------------------------------------------------------------
 
 def antipode_pairs(gq: GQ, grid_points: Iterable[int]) -> list[tuple[int, int]]:
-    """Partition the points off a grid subquadrangle into antipode pairs."""
+    """Partition the points off a grid subquadrangle into antipode pairs.
+
+    Pairs come as (a, b) with a < b, in ascending order of a.
+    """
     grid_mask = 0
     for i in grid_points:
         grid_mask |= 1 << int(i)
@@ -178,12 +212,10 @@ class PairedUniverse:
     pairs: tuple[tuple[int, int], ...]
     pair_adj: tuple[int, ...]  # pair-index bitsets, self-inclusive
     pair_cover: tuple[int, ...]  # point-index bitsets covered by the pair
-    grid_mask: int
 
     @classmethod
     def build(cls, gq: GQ, grid_points: Iterable[int]) -> "PairedUniverse":
-        grid_list = [int(i) for i in grid_points]
-        pairs = antipode_pairs(gq, grid_list)
+        pairs = antipode_pairs(gq, grid_points)
         coll = gq.collinear_bits
         cover = [coll[a] | coll[b] for a, b in pairs]
         adj = []
@@ -194,153 +226,7 @@ class PairedUniverse:
                 if (ca >> c) & 1 or (ca >> d) & 1 or i == j:
                     mask |= 1 << j
             adj.append(mask)
-        grid_mask = 0
-        for i in grid_list:
-            grid_mask |= 1 << i
-        return cls(tuple(pairs), tuple(adj), tuple(cover), grid_mask)
-
-
-def _dfs_pairs(
-    gq: GQ,
-    uni: PairedUniverse,
-    target_pairs: int,
-    root_pair: Optional[int],
-    deadline: Optional[float],
-) -> SearchOutcome:
-    """Ascending DFS over antipode pairs; leaves must cover every point."""
-    npairs = len(uni.pairs)
-    all_pairs = (1 << npairs) - 1
-    full_points = gq.full_mask
-    start = time.monotonic()
-    nodes = 0
-    chosen: list[int] = []
-    witness: Optional[tuple[int, ...]] = None
-    timed_out = False
-
-    def members_of(pair_ids: Sequence[int]) -> tuple[int, ...]:
-        out: list[int] = []
-        for pi in pair_ids:
-            out.extend(uni.pairs[pi])
-        return tuple(sorted(out))
-
-    def walk(cands: int, cover: int, last: int) -> bool:
-        nonlocal nodes, witness, timed_out
-        depth = len(chosen)
-        if depth == target_pairs:
-            if cover == full_points:
-                witness = members_of(chosen)
-                return True
-            return False
-        need = target_pairs - depth
-        avail = cands & (all_pairs << (last + 1))
-        while avail:
-            if avail.bit_count() < need:
-                return False
-            nodes += 1
-            if deadline is not None and nodes % 4096 == 0:
-                if time.monotonic() > deadline:
-                    timed_out = True
-                    return True
-            low = avail & -avail
-            i = low.bit_length() - 1
-            avail ^= low
-            chosen.append(i)
-            if walk(cands & ~uni.pair_adj[i], cover | uni.pair_cover[i], i):
-                return True
-            chosen.pop()
-        return False
-
-    if root_pair is not None:
-        if not 0 <= root_pair < npairs:
-            raise SearchError(f"root pair {root_pair} out of range")
-        chosen.append(root_pair)
-        hit = walk(
-            all_pairs & ~uni.pair_adj[root_pair],
-            uni.pair_cover[root_pair],
-            root_pair,
-        )
-    else:
-        hit = walk(all_pairs, 0, -1)
-    elapsed = time.monotonic() - start
-    if timed_out:
-        return SearchOutcome("timeout", None, nodes, elapsed)
-    if hit and witness is not None:
-        return SearchOutcome("found", witness, nodes, elapsed)
-    return SearchOutcome("exhausted", None, nodes, elapsed)
-
-
-# ----------------------------------------------------------------------
-# randomized greedy restarts
-# ----------------------------------------------------------------------
-
-def _random_bit(rng: random.Random, mask: int) -> int:
-    k = rng.randrange(mask.bit_count())
-    for _ in range(k):
-        mask &= mask - 1
-    return (mask & -mask).bit_length() - 1
-
-
-def _restart_points(gq, target, root, deadline, rng) -> SearchOutcome:
-    coll = gq.collinear_bits
-    full = gq.full_mask
-    start = time.monotonic()
-    restarts = 0
-    nodes = 0
-    while True:
-        if deadline is not None and time.monotonic() > deadline:
-            return SearchOutcome(
-                "timeout", None, nodes, time.monotonic() - start, restarts
-            )
-        restarts += 1
-        if root is not None:
-            chosen = [root]
-            cands = full & ~coll[root]
-        else:
-            chosen = []
-            cands = full
-        while cands and len(chosen) < target:
-            nodes += 1
-            i = _random_bit(rng, cands)
-            chosen.append(i)
-            cands &= ~coll[i]
-        if len(chosen) == target and cands == 0:
-            return SearchOutcome(
-                "found", tuple(sorted(chosen)), nodes, time.monotonic() - start, restarts
-            )
-
-
-def _restart_pairs(gq, uni, target_pairs, root_pair, deadline, rng) -> SearchOutcome:
-    npairs = len(uni.pairs)
-    all_pairs = (1 << npairs) - 1
-    full_points = gq.full_mask
-    start = time.monotonic()
-    restarts = 0
-    nodes = 0
-    while True:
-        if deadline is not None and time.monotonic() > deadline:
-            return SearchOutcome(
-                "timeout", None, nodes, time.monotonic() - start, restarts
-            )
-        restarts += 1
-        if root_pair is not None:
-            chosen = [root_pair]
-            cands = all_pairs & ~uni.pair_adj[root_pair]
-            cover = uni.pair_cover[root_pair]
-        else:
-            chosen = []
-            cands = all_pairs
-            cover = 0
-        while cands and len(chosen) < target_pairs:
-            nodes += 1
-            i = _random_bit(rng, cands)
-            chosen.append(i)
-            cands &= ~uni.pair_adj[i]
-            cover |= uni.pair_cover[i]
-        if len(chosen) == target_pairs and cover == full_points:
-            members = tuple(sorted(p for pi in chosen for p in uni.pairs[pi]))
-            return SearchOutcome(
-                "found", members, nodes, time.monotonic() - start, restarts
-            )
+        return cls(tuple(pairs), tuple(adj), tuple(cover))
 
 
 # ----------------------------------------------------------------------
@@ -350,31 +236,69 @@ def _restart_pairs(gq, uni, target_pairs, root_pair, deadline, rng) -> SearchOut
 def search_maximal(
     gq: GQ, cfg: SearchConfig, grid_points: Optional[Iterable[int]] = None
 ) -> SearchOutcome:
-    """Search for a maximal partial ovoid of exactly the target size."""
+    """Search for a maximal partial ovoid of exactly the target size.
+
+    ``exact_dfs`` walks points, ``antipode_paired`` walks the pairs across
+    ``grid_points``, and ``extend_random`` restarts over pairs when a grid
+    is given and over points otherwise.
+    """
     if cfg.target_size < 1 or cfg.target_size > gq.num_points:
         raise SearchError(f"target size {cfg.target_size} out of range")
-    if cfg.mode == "exact_dfs":
-        return _dfs_points(gq, cfg.target_size, cfg.root_fix, _deadline(cfg))
-    if cfg.mode == "antipode_paired":
+    if cfg.mode not in ("exact_dfs", "antipode_paired", "extend_random"):
+        raise SearchError(f"unknown search mode {cfg.mode!r}")
+    if cfg.mode == "exact_dfs" or (cfg.mode == "extend_random" and grid_points is None):
+        adj, target = gq.collinear_bits, cfg.target_size
+
+        def accept(chosen: list[int], cands: int) -> bool:
+            return cands == 0
+
+        def members_of(chosen: list[int]) -> tuple[int, ...]:
+            return tuple(sorted(chosen))
+
+    else:
         if grid_points is None:
             raise SearchError("antipode_paired mode needs a grid subquadrangle")
         if cfg.target_size % 2:
-            raise SearchError("antipode_paired mode needs an even target size")
+            raise SearchError(f"{cfg.mode} over pairs needs an even target size")
         uni = PairedUniverse.build(gq, grid_points)
-        return _dfs_pairs(
-            gq, uni, cfg.target_size // 2, cfg.root_fix, _deadline(cfg)
-        )
+        adj, target = uni.pair_adj, cfg.target_size // 2
+
+        def accept(chosen: list[int], cands: int) -> bool:
+            cover = 0
+            for i in chosen:
+                cover |= uni.pair_cover[i]
+            return cover == gq.full_mask
+
+        def members_of(chosen: list[int]) -> tuple[int, ...]:
+            return tuple(sorted(p for i in chosen for p in uni.pairs[i]))
+
+    prefix = () if cfg.root_fix is None else (cfg.root_fix,)
+    start = time.monotonic()
+    deadline = None if cfg.time_budget is None else start + cfg.time_budget
     if cfg.mode == "extend_random":
-        rng = random.Random(cfg.seed)
-        if grid_points is not None:
-            if cfg.target_size % 2:
-                raise SearchError("paired random mode needs an even target size")
-            uni = PairedUniverse.build(gq, grid_points)
-            return _restart_pairs(
-                gq, uni, cfg.target_size // 2, cfg.root_fix, _deadline(cfg), rng
-            )
-        return _restart_points(gq, cfg.target_size, cfg.root_fix, _deadline(cfg), rng)
-    raise SearchError(f"unknown search mode {cfg.mode!r}")
+        chosen, nodes, restarts = _restart(
+            adj, target, accept, prefix, deadline, random.Random(cfg.seed)
+        )
+        elapsed = time.monotonic() - start
+        if chosen is None:
+            return SearchOutcome("timeout", None, nodes, elapsed, restarts)
+        return SearchOutcome("found", members_of(chosen), nodes, elapsed, restarts)
+
+    witness: list[tuple[int, ...]] = []
+
+    def leaf(chosen: list[int], cands: int) -> bool:
+        if accept(chosen, cands):
+            witness.append(members_of(chosen))
+            return True
+        return False
+
+    nodes, timed_out = _walk(adj, target, leaf, prefix, deadline=deadline)
+    elapsed = time.monotonic() - start
+    if timed_out:
+        return SearchOutcome("timeout", None, nodes, elapsed)
+    if witness:
+        return SearchOutcome("found", witness[0], nodes, elapsed)
+    return SearchOutcome("exhausted", None, nodes, elapsed)
 
 
 def enumerate_maximal(
@@ -382,7 +306,13 @@ def enumerate_maximal(
 ) -> list[tuple[int, ...]]:
     """All maximal partial ovoids of the target size through the pinned root."""
     found: list[tuple[int, ...]] = []
-    _dfs_points(gq, target, root_fix, None, collect=found)
+
+    def leaf(chosen: list[int], cands: int) -> bool:
+        if cands == 0:
+            found.append(tuple(chosen))
+        return False
+
+    _walk(gq.collinear_bits, target, leaf, () if root_fix is None else (root_fix,))
     return found
 
 
@@ -417,21 +347,13 @@ def extendability_audit(gq: GQ, members: Iterable[int]) -> AuditReport:
         m ^= low
     ovoid_size = s * t + 1
     completions: list[tuple[int, ...]] = []
+
+    def leaf(chosen: list[int], cands: int) -> bool:
+        completions.append(tuple(sorted(members + tuple(chosen))))
+        return False
+
     if len(members) <= ovoid_size:
-        stack = [(members, ext, -1)]
-        while stack:
-            cur, cands, last = stack.pop()
-            if len(cur) == ovoid_size:
-                completions.append(cur)
-                continue
-            avail = cands & (gq.full_mask << (last + 1))
-            while avail:
-                low = avail & -avail
-                i = low.bit_length() - 1
-                avail ^= low
-                stack.append(
-                    (tuple(sorted(cur + (i,))), cands & ~gq.collinear_bits[i], i)
-                )
+        _walk(gq.collinear_bits, ovoid_size - len(members), leaf, cands=ext)
     completions.sort()
     return AuditReport(
         size=len(members),
@@ -451,32 +373,15 @@ def check_unique_completion_exhaustive(
 
     Returns the number of sets checked and any counterexamples.
     """
-    target = gq.s * gq.t
-    coll = gq.collinear_bits
-    full = gq.full_mask
     checked = 0
     failures: list[tuple[int, ...]] = []
-    chosen: list[int] = [root_fix]
 
-    def walk(cands: int, last: int) -> None:
+    def leaf(chosen: list[int], cands: int) -> bool:
         nonlocal checked
-        depth = len(chosen)
-        if depth == target:
-            checked += 1
-            if cands.bit_count() != 1:
-                failures.append(tuple(chosen))
-            return
-        need = target - depth
-        avail = cands & (full << (last + 1))
-        while avail:
-            if avail.bit_count() < need:
-                return
-            low = avail & -avail
-            i = low.bit_length() - 1
-            avail ^= low
-            chosen.append(i)
-            walk(cands & ~coll[i], i)
-            chosen.pop()
+        checked += 1
+        if cands.bit_count() != 1:
+            failures.append(tuple(chosen))
+        return False
 
-    walk(full & ~coll[root_fix], root_fix)
+    _walk(gq.collinear_bits, gq.s * gq.t, leaf, (root_fix,))
     return checked, failures

@@ -20,11 +20,11 @@ standard coefficient 4-tuples (y, z, w, x), normalized like points.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from ovoid.geometry import GeometryError, ProjectiveSpace
 from ovoid.gf import Field, mat_nullspace
-from ovoid.gq import GQ, GQError, PartialOvoid
+from ovoid.gq import GQ, GQError
 
 INF = "inf"
 
@@ -49,11 +49,6 @@ class Conic:
             for p in self.points
         )
         self.tangent_set = frozenset(self.tangents)
-
-    def form_value(self, triple: Sequence[int]) -> int:
-        f = self.field
-        y0, y1, y2 = triple
-        return f.sub(f.mul(y1, y1), f.mul(y0, y2))
 
     def line_meets(self, direction: Sequence[int]) -> int:
         """Number of conic points on the infinity line with these coefficients."""
@@ -140,7 +135,7 @@ class T2Model:
             members.append(self.inf_index)
             lines.append(tuple(members))
 
-        self.gq = GQ(lines, num_points=num_points, labels=labels)
+        self.gq = GQ(lines, num_points=num_points)
         if (self.gq.s, self.gq.t) != (q, q):
             raise GQError(f"expected order ({q}, {q}), got {(self.gq.s, self.gq.t)}")
 
@@ -210,14 +205,6 @@ class T2Model:
             s = f.inv(lead)
             y, z, w, x = f.mul(s, y), f.mul(s, z), f.mul(s, w), f.mul(s, x)
         return (y, z, w, x)
-
-    def plane_quadruple(self, i: int) -> tuple[int, int, int, int]:
-        """Published (x, y, z, w) label of a type (ii) point."""
-        label = self.point_labels[i]
-        if label[0] != "plane":
-            raise GeometryError(f"point {i} is not a plane point")
-        y, z, w, x = label[1]
-        return (x, y, z, w)
 
     # -- the affine set behind a partial ovoid through inf ----------------
 

@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from antipode_oracle import geometric_antipode_map
 
 from ovoid.census import (
     EXPECTED_DISTINCT_ELLIPTIC,
@@ -72,7 +73,9 @@ def size_based_census(model, members, section=None):
     quadric = model.quadric
     if section is None and len(members) == q * q - 1:
         section = model.subquadrangle_section(members)
-    partner = model.antipode_index_map(section) if section is not None else None
+    partner = (
+        geometric_antipode_map(quadric, section) if section is not None else None
+    )
     pairs = [
         (i, int(partner[i]))
         for i in members
@@ -152,7 +155,7 @@ def test_pole_rule_on_random_partial_ovoid_q9():
     # rule over a non-prime field
     model = build_q4_model(make_field(3, 2))
     section = model.hyperbolic_seed
-    partner = model.antipode_index_map(section)
+    partner = geometric_antipode_map(model.quadric, section)
     collinear = model.quadric.collinear
     order = [i for i in range(model.gq.num_points) if partner[i] >= 0]
     random.Random(9).shuffle(order)

@@ -11,7 +11,9 @@ import itertools
 
 import numpy as np
 import pytest
+from antipode_oracle import geometric_antipode_map
 
+from ovoid.census import check_antipode_closure
 from ovoid.geometry import (
     GeometryError,
     ProjectiveSpace,
@@ -22,6 +24,8 @@ from ovoid.geometry import (
     parabolic_quadric,
 )
 from ovoid.gf import make_field
+from ovoid.q4 import build_q4_model
+from ovoid.search import SearchError, antipode_pairs
 
 
 def pg_size(n, q):
@@ -251,7 +255,7 @@ def test_hyperbolic_seed_hyperplane():
 def test_antipode_involution_fixed_point_free(q):
     quad = parabolic_quadric(make_field(q))
     sec = quad.classify_section((1, 0, 0, 0, 0))
-    amap = quad.antipode_map(sec)
+    amap = geometric_antipode_map(quad, sec)
     on = set(sec.point_local)
     off = [i for i in range(len(quad)) if i not in on]
     assert len(off) == q**3 - q
@@ -265,17 +269,20 @@ def test_antipode_involution_fixed_point_free(q):
 
 
 def test_antipode_errors():
-    quad = parabolic_quadric(make_field(3))
-    hyp = quad.classify_section((1, 0, 0, 0, 0))
-    ell = next(
-        quad.classify_section(c)
-        for c in quad.space.points
-        if quad.classify_section(c).kind is SectionType.ELLIPTIC
-    )
-    with pytest.raises(GeometryError):
-        quad.antipode(ell, 0)
-    with pytest.raises(GeometryError):
-        quad.antipode(hyp, hyp.point_local[0])
+    model = build_q4_model(make_field(3))
+    quad = model.quadric
+    sections = {}
+    for c in quad.space.points:
+        sec = quad.classify_section(c)
+        sections.setdefault(sec.kind, sec)
+    # across a cone, the common neighbours of a point's conic are the point
+    # and the vertex, so the only partner candidate lies on the section
+    with pytest.raises(SearchError, match="lies on the grid"):
+        antipode_pairs(model.gq, sections[SectionType.CONE].point_local)
+    # the census pairs members across the set's hyperbolic section only
+    with pytest.raises(GeometryError, match="hyperbolic"):
+        check_antipode_closure(model, sections[SectionType.ELLIPTIC], [])
+    assert len(antipode_pairs(model.gq, model.hyperbolic_seed.point_local)) == 12
 
 
 def test_hyperplane_through_recovers_section():

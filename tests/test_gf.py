@@ -192,16 +192,11 @@ def test_vector_kernels_match_scalar_ops():
     assert got == expect
 
 
-def test_large_field_falls_back_to_polynomial_path():
-    f = make_field(3, 6)  # q = 729 > table limit
-    assert not f.has_tables
-    a, b = 500, 77
-    assert f.mul(a, f.inv(a)) == 1
-    assert f.coeffs(f.mul(a, b)) == oracle_poly_mul_mod(
-        f.coeffs(a), f.coeffs(b), f.irreducible, 3
-    )
-    with pytest.raises(FieldError):
-        f.add_arr(None, None)
+def test_field_above_table_limit_is_refused():
+    with pytest.raises(FieldError, match="table limit"):
+        make_field(3, 6)  # q = 729 > TABLE_LIMIT
+    with pytest.raises(FieldError, match="table limit"):
+        make_field(3, 10**9)  # refused without computing 3^(10^9)
 
 
 def test_matrix_rank_and_nullspace():

@@ -1,4 +1,4 @@
-"""Round trips and failure paths for set files, the registry, and caching."""
+"""Round trips and failure paths for set files and the model registry."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 from ovoid.gf import make_field
 from ovoid.io import (
     StorageError,
-    build_model,
     cached_model,
     canonical_json,
     json_digest,
@@ -18,7 +17,7 @@ from ovoid.verify import find_example
 
 
 def example_doc(tmp_path, name, q=3):
-    model = build_model(name, make_field(q))
+    model = cached_model(name, make_field(q))
     members = find_example(model).members
     path = tmp_path / f"{name.lower()}-{q}.json"
     doc = save_point_set(path, model, members, meta={"note": "test"})
@@ -42,10 +41,10 @@ def test_save_load_roundtrip(tmp_path, name):
 
 def test_load_rejects_model_mismatch(tmp_path):
     _, _, path, _ = example_doc(tmp_path, "Q4")
-    other = build_model("T2", make_field(3))
+    other = cached_model("T2", make_field(3))
     with pytest.raises(StorageError, match="file is for Q4"):
         load_point_set(path, model=other)
-    q5 = build_model("Q4", make_field(5))
+    q5 = cached_model("Q4", make_field(5))
     with pytest.raises(StorageError, match="file is for Q4"):
         load_point_set(path, model=q5)
 
@@ -77,49 +76,19 @@ def test_load_rejects_malformed_documents(tmp_path):
 
 
 def test_save_rejects_out_of_range_members(tmp_path):
-    model = build_model("Q4", make_field(3))
+    model = cached_model("Q4", make_field(3))
     with pytest.raises(StorageError, match="out of range"):
         save_point_set(tmp_path / "k.json", model, [0, model.gq.num_points])
 
 
-def test_build_model_rejects_unknown_name():
+def test_cached_model_rejects_unknown_name():
     with pytest.raises(StorageError, match="unknown model"):
-        build_model("W3", make_field(3))
+        cached_model("W3", make_field(3))
 
 
-def test_cached_model_round_trip(tmp_path):
-    field = make_field(3)
-    first = cached_model("Q4", field, cache_dir=tmp_path)
-    files = list(tmp_path.glob("*.pickle"))
-    assert len(files) == 1
-    second = cached_model("Q4", field, cache_dir=tmp_path)
-    assert second.gq.lines == first.gq.lines
-    assert second.field == first.field
-    assert second.name == "Q4"
-
-
-def test_cached_model_survives_corrupt_cache(tmp_path):
-    field = make_field(3)
-    cached_model("T2", field, cache_dir=tmp_path)
-    (cache_file,) = tmp_path.glob("*.pickle")
-    cache_file.write_bytes(b"not a pickle")
-    model = cached_model("T2", field, cache_dir=tmp_path)
-    assert model.gq.num_points == 40
-    # the bad entry was replaced with a working one
-    again = cached_model("T2", field, cache_dir=tmp_path)
-    assert again.gq.lines == model.gq.lines
-
-
-def test_cached_model_no_dir_is_plain_build(monkeypatch):
-    monkeypatch.delenv("OVOID_CACHE_DIR", raising=False)
+def test_cached_model_no_dir_is_plain_build():
     model = cached_model("Q4", make_field(3))
     assert model.gq.num_points == 40
-
-
-def test_cached_model_env_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("OVOID_CACHE_DIR", str(tmp_path))
-    cached_model("Q4", make_field(3))
-    assert list(tmp_path.glob("q4-*.pickle"))
 
 
 def test_canonical_json_and_digest_are_order_insensitive():

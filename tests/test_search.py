@@ -1,6 +1,7 @@
 """Tests for the partial-ovoid searches and extendability audits."""
 
 import pytest
+from antipode_oracle import geometric_antipode_map
 
 from ovoid.gf import make_field
 from ovoid.gq import check_partial_ovoid, extension_bits, uncovered_subquadrangle
@@ -17,12 +18,16 @@ from ovoid.search import (
     search_maximal,
 )
 from ovoid.t2 import build_t2_model
+from ovoid.verify import find_example
 
 
 # frozen outputs of the deterministic searches at q = 3
 LEX_FIRST_MAXIMAL_8 = (0, 1, 12, 16, 21, 24, 25, 32)
 NUM_MAXIMAL_8_THROUGH_0 = 27
 NUM_SIZE9_THROUGH_0 = 81
+# frozen node counts: a change in the walker's order or pruning shows here
+EXACT_NODES_Q3 = {8: 52, 9: 885}
+FIND_EXAMPLE_NODES = {5: (11, 11), 7: (739, 33)}  # (Q4, T2)
 
 
 def q4_and_grid(q):
@@ -50,7 +55,7 @@ def test_antipode_pairs_match_geometric_map(q):
     model, grid = q4_and_grid(q)
     pairs = antipode_pairs(model.gq, grid)
     assert len(pairs) == (q**3 - q) // 2
-    geo = model.antipode_index_map(model.hyperbolic_seed)
+    geo = geometric_antipode_map(model.quadric, model.hyperbolic_seed)
     for a, b in pairs:
         assert geo[a] == b
         assert geo[b] == a
@@ -122,7 +127,14 @@ def test_paired_search_is_deterministic():
     a = search_maximal(model.gq, cfg, grid)
     b = search_maximal(model.gq, cfg, grid)
     assert a.members == b.members
-    assert a.nodes == b.nodes
+    assert a.nodes == b.nodes == 3
+
+
+@pytest.mark.parametrize("q", sorted(FIND_EXAMPLE_NODES))
+def test_find_example_node_counts_frozen(q):
+    q4 = find_example(build_q4_model(make_field(q)))
+    t2 = find_example(build_t2_model(make_field(q)))
+    assert (q4.nodes, t2.nodes) == FIND_EXAMPLE_NODES[q]
 
 
 # ----------------------------------------------------------------------
@@ -134,6 +146,7 @@ def test_exact_dfs_lex_first_witness_q3():
     out = search_maximal(model.gq, SearchConfig(8, mode="exact_dfs", root_fix=0))
     assert out.status == "found"
     assert out.members == LEX_FIRST_MAXIMAL_8
+    assert out.nodes == EXACT_NODES_Q3[8]
     assert_maximal_partial_ovoid(model.gq, out.members, 8)
 
 
@@ -143,6 +156,7 @@ def test_exact_dfs_exhausts_impossible_size():
     out = search_maximal(model.gq, SearchConfig(9, mode="exact_dfs", root_fix=0))
     assert out.status == "exhausted"
     assert out.members is None
+    assert out.nodes == EXACT_NODES_Q3[9]
 
 
 def test_exact_dfs_finds_ovoids():
@@ -176,6 +190,7 @@ def test_extend_random_is_seed_reproducible():
     assert a.status == "found"
     assert a.members == b.members
     assert a.restarts == b.restarts
+    assert (a.members, a.nodes, a.restarts) == ((0, 1, 14, 15, 24, 25, 38, 39), 40, 5)
     assert_maximal_partial_ovoid(model.gq, a.members, 8)
 
 
@@ -184,6 +199,7 @@ def test_extend_random_paired_mode():
     cfg = SearchConfig(8, mode="extend_random", seed=2, time_budget=30.0)
     out = search_maximal(model.gq, cfg, grid)
     assert out.status == "found"
+    assert (out.members, out.nodes, out.restarts) == ((0, 10, 14, 17, 20, 22, 25, 39), 4, 1)
     assert_maximal_partial_ovoid(model.gq, out.members, 8)
     assert not set(out.members) & set(grid)
 
@@ -210,12 +226,15 @@ def test_search_config_errors():
         search_maximal(model.gq, SearchConfig(8, mode="antipode_paired"))
     with pytest.raises(SearchError):
         search_maximal(model.gq, SearchConfig(7, mode="antipode_paired"), grid)
-    with pytest.raises(SearchError):
-        search_maximal(
-            model.gq,
-            SearchConfig(8, mode="antipode_paired", root_fix=999),
-            grid,
-        )
+    for mode, universe in [
+        ("antipode_paired", grid),
+        ("exact_dfs", None),
+        ("extend_random", None),
+        ("extend_random", grid),
+    ]:
+        for root in (999, -1):
+            with pytest.raises(SearchError, match="out of range"):
+                search_maximal(model.gq, SearchConfig(8, mode, root_fix=root), universe)
 
 
 # ----------------------------------------------------------------------
