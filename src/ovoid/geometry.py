@@ -267,21 +267,23 @@ class Quadric:
     def lines(self) -> list[tuple[int, ...]]:
         """All lines contained in the quadric, as sorted local index tuples.
 
-        Each line is materialized once, from its lexicographically least
-        point; the lines through a fixed point partition its collinear set.
+        Each line is materialized once, from its least point: building a
+        line clears all of its point pairs from a working copy of the
+        collinearity matrix, so later points only walk partners on lines
+        not yet built.
         """
-        f = self.field
-        n = self.size
+        unseen = self.collinear.copy()
+        np.fill_diagonal(unseen, False)
         out: list[tuple[int, ...]] = []
-        for i in range(n):
-            remaining = set(np.flatnonzero(self.collinear[i])) - {i}
-            while remaining:
-                j = min(remaining)
+        for i in range(self.size):
+            row = unseen[i]
+            while row.any():
+                j = int(row.argmax())
                 pts = self.space.line_points(self.points[i], self.points[j])
                 line = tuple(sorted(self._local[p] for p in pts))
-                remaining -= set(line)
-                if line[0] == i:
-                    out.append(line)
+                idx = np.array(line)
+                unseen[idx[:, None], idx] = False
+                out.append(line)
         out.sort()
         return out
 

@@ -121,6 +121,41 @@ class GQ:
         return bool((self.collinear_bits[i] >> j) & 1)
 
 
+def check_isomorphism(src: GQ, dst: GQ, image: Sequence[int]) -> None:
+    """Check that a point map ``src -> dst`` is an isomorphism of quadrangles.
+
+    ``image[i]`` is the ``dst`` point of ``src`` point i.  The map must be
+    a bijection and carry every ``src`` line onto a ``dst`` line; with
+    equal line counts that makes it a bijection on lines that preserves
+    incidence both ways, since two lines share at most one point.  The
+    cost is one pass over the points and one over the lines.  A failure
+    raises GQError whose witness names the offending ``src`` point or line.
+    """
+    n = src.num_points
+    if len(image) != n or dst.num_points != n or len(dst.lines) != len(src.lines):
+        raise GQError(
+            f"cannot map {n} points and {len(src.lines)} lines through "
+            f"{len(image)} images onto {dst.num_points} points and "
+            f"{len(dst.lines)} lines"
+        )
+    preimage: dict[int, int] = {}
+    for i, j in enumerate(image):
+        if not 0 <= j < n:
+            raise GQError(f"point {i} maps to {j}, not a point", witness={"point": i})
+        if j in preimage:
+            raise GQError(
+                f"points {preimage[j]} and {i} both map to {j}", witness={"point": i}
+            )
+        preimage[j] = i
+    targets = set(dst.line_masks)
+    for li, line in enumerate(src.lines):
+        if sum(1 << image[i] for i in line) not in targets:
+            raise GQError(
+                f"line {li} {line} maps to {sorted(image[i] for i in line)}, not a line",
+                witness={"line": li},
+            )
+
+
 def _invert_incidence(num_points, lines):
     out = [[] for _ in range(num_points)]
     for li, line in enumerate(lines):

@@ -20,11 +20,14 @@ standard coefficient 4-tuples (y, z, w, x), normalized like points.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ovoid.geometry import GeometryError, ProjectiveSpace
 from ovoid.gf import Field, mat_nullspace
-from ovoid.gq import GQ, GQError
+from ovoid.gq import GQ, GQError, check_isomorphism
+
+if TYPE_CHECKING:
+    from ovoid.q4 import Q4Model
 
 INF = "inf"
 
@@ -113,14 +116,18 @@ class T2Model:
         self.point_labels = tuple(labels)
 
         # -- lines --------------------------------------------------------
+        # each affine line is built once, from its least point: affine
+        # points run in ascending order and a built line marks its points
         lines: list[tuple[int, ...]] = []
         for ci, cpt in enumerate(self.conic.points):
             tang = self.conic.tangents[ci]
             d = cpt  # direction vector of the affine lines toward this point
+            seen: set[tuple[int, int, int]] = set()
             for a in affines:
-                coset = [self._translate(a, d, t) for t in f.elements()]
-                if min(coset) != a:
+                if a in seen:
                     continue
+                coset = [self._translate(a, d, t) for t in f.elements()]
+                seen.update(coset)
                 x = f.neg(
                     f.add(
                         f.add(f.mul(tang[0], a[0]), f.mul(tang[1], a[1])),
@@ -159,6 +166,46 @@ class T2Model:
             f.add(a[1], f.mul(t, d[1])),
             f.add(a[2], f.mul(t, d[2])),
         )
+
+    # -- the isomorphism T2(C) -> Q(4, q) -----------------------------------
+
+    def to_q4(self, q4: Q4Model) -> tuple[int, ...]:
+        """Images of the T2 points under an isomorphism onto ``q4``'s quadrangle.
+
+        T2(O) is isomorphic to Q(4, q) when O is a conic (Payne & Thas,
+        *Finite Generalized Quadrangles*, 3.2.2).  Here inf goes to the
+        quadric point (0, 0, 0, 0, 1), whose tangent hyperplane is x3 = 0,
+        and the conic X1^2 - X0 X2 goes to the trace x0^2 + x1 x2 of the
+        form x0^2 + x1 x2 + x3 x4 by (X0, X1, X2) -> (X1, X0, -X2):
+
+          affine (a, b, c)            -> (b, a, -c, 1, ac - b^2)
+          tangent plane (y, z, w, x)  -> (z/2, -w, y, 0, x)
+          inf                         -> (0, 0, 0, 0, 1)
+
+        so tangent planes land on the q(q + 1) points collinear with the
+        image of inf and affine points on the q^3 points off its tangent
+        hyperplane.  The images are checked with
+        :func:`~ovoid.gq.check_isomorphism` before they are returned, and
+        every failure is a GQError naming a T2 point or line.
+        """
+        f = self.field
+        half = f.inv(f.add(1, 1))
+        image = []
+        for i, label in enumerate(self.point_labels):
+            if label[0] == "aff":
+                a, b, c = label[1]
+                vec = (b, a, f.neg(c), 1, f.sub(f.mul(a, c), f.mul(b, b)))
+            elif label[0] == "plane":
+                y, z, w, x = label[1]
+                vec = (f.mul(z, half), f.neg(w), y, 0, x)
+            else:
+                vec = (0, 0, 0, 0, 1)
+            try:
+                image.append(q4.quadric.local_index(vec))
+            except GeometryError as exc:
+                raise GQError(f"T2 point {i} {label}: {exc}", witness={"point": i}) from None
+        check_isomorphism(self.gq, q4.gq, image)
+        return tuple(image)
 
     # -- member codec (JSON): affine quadruple, plane quadruple, "inf" ----
 

@@ -12,8 +12,10 @@ Three layers live here:
   closure, the model-specific identification of that grid, and (in the
   affine model) the full polynomial-identity suite.
 * :func:`invariant_profile` computes a model-independent fingerprint of a
-  point set inside its quadrangle, so sets found by independent searches
-  in the two models can be compared without constructing an isomorphism.
+  point set inside its quadrangle.  Equal profiles are necessary, not
+  sufficient, for two sets to be equivalent; the pipeline compares the
+  profile of a T2 example with that of its image under the explicit
+  isomorphism :meth:`~ovoid.t2.T2Model.to_q4`.
 """
 
 from __future__ import annotations
@@ -353,7 +355,7 @@ def verify_members(
 
 
 # ----------------------------------------------------------------------
-# Invariant profiles: compare sets across models without an isomorphism.
+# Invariant profiles: a fingerprint to compare sets across models.
 # ----------------------------------------------------------------------
 
 

@@ -248,11 +248,13 @@ def test_criterion_9_property_suites(workspace):
 def test_stretch_q11():
     q = 11
     profiles = {}
+    models, found = {}, {}
     for name, builder in (("Q4", build_q4_model), ("T2", build_t2_model)):
         model = builder(make_field(q))
         out = find_example(model, time_budget=7200.0)
         assert out.found, (name, out.status)
         assert len(out.members) == q * q - 1
+        models[name], found[name] = model, out.members
         profiles[name] = invariant_profile(
             model.gq, out.members, seed_grid(model)
         )
@@ -273,4 +275,11 @@ def test_stretch_q11():
             suite = run_redei_suite(model, out.members)
             assert suite.passed, suite.failures
     assert profiles["Q4"] == profiles["T2"]
-    print("stretch PASS: q=11 existence, census, identities and profiles", flush=True)
+    # the T2 example mapped into Q4 has the census of the Q4-searched one
+    image = models["T2"].to_q4(models["Q4"])
+    mapped = sorted(image[i] for i in found["T2"])
+    assert run_census(models["Q4"], mapped).to_json() == census.to_json()
+    print(
+        "stretch PASS: q=11 existence, census, identities, profiles and mapped census",
+        flush=True,
+    )

@@ -311,6 +311,47 @@ def test_pipeline_digests_stable_across_runs(capsys, tmp_path):
     assert digests[0] == digests[1]
 
 
+# manifest digests of ``ovoid pipeline``: they cover check outcomes and
+# census results, not member lists, so they hold whichever equivalent
+# example the pipeline puts in Q4 (searched there, or mapped from T2)
+PIPELINE_DIGESTS = {
+    3: "3f53134cb0dcfd04ecd8bf4626a34af2d27ede6ca2d3a77913332ddf0306ff7c",
+    5: "b70657c7410db92b34fd2c99708dc61f7cdb9e012264dfaf93c48225e3ffd2bd",
+}
+
+
+@pytest.mark.parametrize("q", sorted(PIPELINE_DIGESTS))
+def test_pipeline_digests_pinned(capsys, tmp_path, q):
+    out_dir = tmp_path / f"p{q}"
+    code, out, _ = run(capsys, "pipeline", "--q", str(q), "--out-dir", str(out_dir))
+    assert code == 0
+    assert f"digest {PIPELINE_DIGESTS[q]}" in out
+    assert json.loads((out_dir / "manifest.json").read_text())["digest"] == PIPELINE_DIGESTS[q]
+
+
+def test_pipeline_searches_t2_only(capsys, tmp_path, monkeypatch):
+    import ovoid.cli
+
+    searched = []
+
+    def recording(model, **kwargs):
+        searched.append(model.name)
+        return find_example(model, **kwargs)
+
+    find_example = ovoid.cli.find_example
+    monkeypatch.setattr(ovoid.cli, "find_example", recording)
+    out_dir = tmp_path / "p5"
+    code, out, _ = run(capsys, "pipeline", "--q", "5", "--out-dir", str(out_dir))
+    assert code == 0
+    assert searched == ["T2"]
+    assert "isomorphism checked" in out
+    # the Q4 set file is the image of the T2 one and passes its own bundle
+    model, members = load_point_set(out_dir / "q4-example.json")
+    assert model.name == "Q4" and len(members) == 24
+    verify_doc = json.loads((out_dir / "verify-q4.json").read_text())
+    assert verify_doc["passed"] is True
+
+
 def test_pipeline_refuses_q9(capsys):
     code, _, err = run(capsys, "pipeline", "--q", "9")
     assert code == 2

@@ -230,6 +230,29 @@ def test_ti_line_counts(q):
     assert set(degrees) == {q + 1}
 
 
+def oracle_quadric_lines(quad):
+    """The former ``Quadric.lines``: every line rebuilt from each of its
+    points, kept only when that point is the least."""
+    out = []
+    for i in range(len(quad)):
+        remaining = set(np.flatnonzero(quad.collinear[i])) - {i}
+        while remaining:
+            j = min(remaining)
+            pts = quad.space.line_points(quad.points[i], quad.points[j])
+            line = tuple(sorted(quad.local_index(p) for p in pts))
+            remaining -= set(line)
+            if line[0] == i:
+                out.append(line)
+    out.sort()
+    return out
+
+
+@pytest.mark.parametrize("p,h", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_lines_match_rebuild_oracle(p, h):
+    quad = parabolic_quadric(make_field(p, h))
+    assert quad.lines() == oracle_quadric_lines(quad)
+
+
 def test_line_points_on_quadric_are_collinear_closure():
     f = make_field(3)
     quad = parabolic_quadric(f)

@@ -217,3 +217,35 @@ def test_conic_direction_census():
         assert len(buckets["secant"]) == q * (q + 1) // 2
         assert len(buckets["external"]) == q * (q - 1) // 2
         assert set(buckets["tangent"]) == conic.tangent_set
+
+
+def oracle_t2_lines(model):
+    """The former T2 line loop: every affine line rebuilt from each of its
+    points, kept only when that point is the least."""
+    f = model.field
+    lines = []
+    for cpt, tang in zip(model.conic.points, model.conic.tangents):
+        for a in model.affines:
+            coset = [model._translate(a, cpt, t) for t in f.elements()]
+            if min(coset) != a:
+                continue
+            x = f.neg(
+                f.add(
+                    f.add(f.mul(tang[0], a[0]), f.mul(tang[1], a[1])),
+                    f.mul(tang[2], a[2]),
+                )
+            )
+            members = [model.affine_index[c] for c in coset]
+            members.append(model.plane_index[(*tang, x)])
+            lines.append(tuple(sorted(members)))
+    for tang in model.conic.tangents:
+        members = [model.plane_index[(*tang, x)] for x in f.elements()]
+        lines.append(tuple(sorted(members + [model.inf_index])))
+    return tuple(lines)
+
+
+@pytest.mark.parametrize("p,h", [(5, 1), (7, 1), (3, 2)])
+def test_t2_lines_match_rebuild_oracle(p, h):
+    # same lines in the same order: line indices are part of the model
+    model = build_t2_model(make_field(p, h))
+    assert model.gq.lines == oracle_t2_lines(model)
