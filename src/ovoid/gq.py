@@ -10,7 +10,7 @@ set iff i == j or the two points share a line).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -175,25 +175,6 @@ def grid_gq(s: int) -> GQ:
 # ----------------------------------------------------------------------
 # partial ovoids
 # ----------------------------------------------------------------------
-
-@dataclass
-class PartialOvoid:
-    """A set of pairwise non-collinear points of a quadrangle."""
-
-    gq: GQ = field(repr=False)
-    members: tuple[int, ...] = ()
-    maximal: Optional[bool] = None
-
-    def __post_init__(self):
-        self.members = tuple(sorted(int(i) for i in self.members))
-
-    @property
-    def mask(self) -> int:
-        return sum(1 << i for i in self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
 
 def check_partial_ovoid(gq: GQ, members: Iterable[int]) -> bool:
     """True iff no line carries two of the given points."""

@@ -1,33 +1,37 @@
 """Backtracking searches for maximal partial ovoids.
 
-Every search runs over a universe of adjacency bitsets: the points of a
-verified quadrangle (``gq.collinear_bits``) or the antipode pairs across
-a grid subquadrangle (``PairedUniverse.pair_adj``).  Rows are
-self-inclusive, so choosing an element removes its own row from the
-candidates.  One depth-first walker serves every deterministic search and
-audit: it extends a start prefix in ascending index order and hands each
-full-depth set to a leaf predicate, so reruns are reproducible bit for
-bit and the first witness is the lexicographically first.  One restart
-loop serves the randomized mode, a seeded greedy completion repeated
-until the budget runs out.
+Every search runs over a universe of self-inclusive adjacency bitsets, so
+choosing an element removes its own row from the candidates: the points
+of a verified quadrangle (``gq.collinear_bits``), or the antipode pairs
+across a grid subquadrangle (``PairedUniverse.conflicts``).  One
+depth-first walker, ``_walk``, serves every search and audit, and it
+branches in one of two ways, fixed by its input:
 
-The paired universe fixes a grid subquadrangle (a hyperbolic section in
-the orthogonal model) and searches over antipode pairs: the partner of an
+* given per-line option masks it solves an exact cover.  A partial ovoid
+  of size q^2 - 1 misses exactly the 2(q+1) lines of its grid, so it puts
+  one member on every other line.  The paired search therefore covers the
+  off-grid lines exactly once with antipode pairs, branching on the open
+  line with the fewest live options (Knuth's Algorithm X over bitsets).
+  Every such cover is maximal, and the size is fixed by the grid.
+* otherwise it extends a start prefix in ascending index order, as the
+  point-level searches and audits do; their first witness is the
+  lexicographically first.
+
+Reruns are reproducible bit for bit either way.  The partner of an
 off-grid point is the unique second point collinear with the whole conic
-of grid points collinear with the first.  Selecting whole pairs keeps
+of grid points collinear with the first; selecting whole pairs keeps
 every candidate set antipode closed by construction.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from ovoid.gq import GQ, GQError, check_partial_ovoid, extension_bits
 
-# leaf(chosen, candidates) -> True to stop the walk (or accept a restart)
+# leaf(chosen, candidates) -> True to stop the walk
 Leaf = Callable[[list[int], int], bool]
 
 
@@ -38,8 +42,7 @@ class SearchError(ValueError):
 @dataclass
 class SearchConfig:
     target_size: int
-    mode: str = "exact_dfs"  # exact_dfs | antipode_paired | extend_random
-    seed: int = 0
+    mode: str = "exact_dfs"  # exact_dfs | antipode_paired
     time_budget: Optional[float] = None  # seconds, None is unlimited
     root_fix: Optional[int] = None  # point index (exact) or pair index (paired)
 
@@ -50,7 +53,6 @@ class SearchOutcome:
     members: Optional[tuple[int, ...]]
     nodes: int
     elapsed: float
-    restarts: int = 0
 
     @property
     def found(self) -> bool:
@@ -58,17 +60,23 @@ class SearchOutcome:
 
 
 # ----------------------------------------------------------------------
-# the walker and the restart loop
+# the walker
 # ----------------------------------------------------------------------
 
-def _start(adj: Sequence[int], prefix: Sequence[int]) -> int:
-    """Candidates left by the prefix; every prefix index must be in range."""
-    cands = (1 << len(adj)) - 1
-    for i in prefix:
-        if not 0 <= i < len(adj):
-            raise SearchError(f"root {i} out of range 0..{len(adj) - 1}")
-        cands &= ~adj[i]
-    return cands
+def _least_covered(holders: Sequence[int], lines: int, cands: int) -> int:
+    """Live options on the open line with the fewest of them, the lowest
+    such line on ties; the scan stops at a line with at most one."""
+    best, best_n = 0, None
+    while lines:
+        low = lines & -lines
+        lines ^= low
+        live = holders[low.bit_length() - 1] & cands
+        n = live.bit_count()
+        if best_n is None or n < best_n:
+            best, best_n = live, n
+            if n <= 1:
+                break
+    return best
 
 
 def _walk(
@@ -78,30 +86,47 @@ def _walk(
     prefix: Sequence[int] = (),
     cands: Optional[int] = None,
     deadline: Optional[float] = None,
+    holders: Optional[Sequence[int]] = None,
+    covers: Optional[Sequence[int]] = None,
 ) -> tuple[int, bool]:
     """Depth-first walk from ``prefix`` to every set of ``target`` elements.
 
-    Elements after the prefix come in ascending order, above the prefix's
-    last element, from ``cands`` (by default what the prefix leaves); each
-    choice removes its adjacency row.  Each full-depth set goes to
-    ``leaf(chosen, cands)``, which returns True to stop the walk.  Returns
-    the number of nodes and whether the deadline cut the walk short.
+    Each choice removes its adjacency row from ``cands`` (by default what
+    the prefix leaves).  Given per-line option masks (``holders[j]``, the
+    options on line j; ``covers[k]``, the lines option k covers), the walk
+    is an exact cover of those lines: it branches on the open line with
+    the fewest live options.  Without them, elements after the prefix
+    come in ascending order, above the prefix's last element.  Each
+    full-depth set goes to ``leaf(chosen, cands)``, which returns True to
+    stop the walk.  Returns the number of nodes and whether the deadline
+    cut the walk short.
     """
-    initial = _start(adj, prefix)  # checks the prefix in every mode
+    if covers is None:
+        covers = (0,) * len(adj)
+    full = (1 << len(adj)) - 1
+    initial, lines = full, 0
+    for mask in covers:
+        lines |= mask
+    for i in prefix:
+        if not 0 <= i < len(adj):
+            raise SearchError(f"root {i} out of range 0..{len(adj) - 1}")
+        initial &= ~adj[i]
+        lines &= ~covers[i]
     if cands is None:
         cands = initial
-    full = (1 << len(adj)) - 1
     chosen = list(prefix)
     nodes = 0
     timed_out = False
 
-    def walk(cands: int, last: int) -> bool:
+    def walk(cands: int, lines: int, last: int) -> bool:
         nonlocal nodes, timed_out
         depth = len(chosen)
         if depth == target:
             return leaf(chosen, cands)
-        need = target - depth
-        avail = cands & (full << (last + 1))
+        if holders is None:
+            avail, need = cands & (full << (last + 1)), target - depth
+        else:
+            avail, need = _least_covered(holders, lines, cands), 1
         while avail:
             if avail.bit_count() < need:
                 return False
@@ -114,51 +139,13 @@ def _walk(
             i = low.bit_length() - 1
             avail ^= low
             chosen.append(i)
-            if walk(cands & ~adj[i], i):
+            if walk(cands & ~adj[i], lines & ~covers[i], i):
                 return True
             chosen.pop()
         return False
 
-    walk(cands, chosen[-1] if chosen else -1)
+    walk(cands, lines, chosen[-1] if chosen else -1)
     return nodes, timed_out
-
-
-def _random_bit(rng: random.Random, mask: int) -> int:
-    k = rng.randrange(mask.bit_count())
-    for _ in range(k):
-        mask &= mask - 1
-    return (mask & -mask).bit_length() - 1
-
-
-def _restart(
-    adj: Sequence[int],
-    target: int,
-    accept: Leaf,
-    prefix: Sequence[int],
-    deadline: Optional[float],
-    rng: random.Random,
-) -> tuple[Optional[list[int]], int, int]:
-    """Seeded greedy completions of the prefix until one of ``target``
-    elements is accepted or the deadline passes.
-
-    Returns the accepted set (None on timeout), the node count and the
-    number of restarts.
-    """
-    initial = _start(adj, prefix)
-    restarts = 0
-    nodes = 0
-    while deadline is None or time.monotonic() <= deadline:
-        restarts += 1
-        chosen = list(prefix)
-        cands = initial
-        while cands and len(chosen) < target:
-            nodes += 1
-            i = _random_bit(rng, cands)
-            chosen.append(i)
-            cands &= ~adj[i]
-        if len(chosen) == target and accept(chosen, cands):
-            return chosen, nodes, restarts
-    return None, nodes, restarts
 
 
 # ----------------------------------------------------------------------
@@ -207,26 +194,40 @@ def antipode_pairs(gq: GQ, grid_points: Iterable[int]) -> list[tuple[int, int]]:
 
 @dataclass
 class PairedUniverse:
-    """Precomputed pair-level incidence for the paired searches."""
+    """The antipode pairs across a grid as the options of an exact cover
+    whose items are the lines off the grid (see the module docstring)."""
 
     pairs: tuple[tuple[int, int], ...]
-    pair_adj: tuple[int, ...]  # pair-index bitsets, self-inclusive
-    pair_cover: tuple[int, ...]  # point-index bitsets covered by the pair
+    holders: tuple[int, ...]  # per off-grid line: bitset of the pairs on it
+    covers: tuple[int, ...]  # per pair: bitset of the off-grid lines it meets
 
     @classmethod
     def build(cls, gq: GQ, grid_points: Iterable[int]) -> "PairedUniverse":
         pairs = antipode_pairs(gq, grid_points)
-        coll = gq.collinear_bits
-        cover = [coll[a] | coll[b] for a, b in pairs]
-        adj = []
-        for i, (a, b) in enumerate(pairs):
+        owner = {p: k for k, ab in enumerate(pairs) for p in ab}
+        holders: list[int] = []
+        covers = [0] * len(pairs)
+        for line in gq.lines:
             mask = 0
-            ca = cover[i]
-            for j, (c, d) in enumerate(pairs):
-                if (ca >> c) & 1 or (ca >> d) & 1 or i == j:
-                    mask |= 1 << j
-            adj.append(mask)
-        return cls(tuple(pairs), tuple(adj), tuple(cover))
+            for p in line:
+                if p in owner:
+                    mask |= 1 << owner[p]
+                    covers[owner[p]] |= 1 << len(holders)
+            if mask:
+                holders.append(mask)
+        return cls(tuple(pairs), tuple(holders), tuple(covers))
+
+    def conflicts(self) -> list[int]:
+        """Per pair, the pairs sharing a line with it, itself included."""
+        rows = []
+        for lines in self.covers:
+            row = 0
+            while lines:
+                low = lines & -lines
+                lines ^= low
+                row |= self.holders[low.bit_length() - 1]
+            rows.append(row)
+        return rows
 
 
 # ----------------------------------------------------------------------
@@ -238,61 +239,45 @@ def search_maximal(
 ) -> SearchOutcome:
     """Search for a maximal partial ovoid of exactly the target size.
 
-    ``exact_dfs`` walks points, ``antipode_paired`` walks the pairs across
-    ``grid_points``, and ``extend_random`` restarts over pairs when a grid
-    is given and over points otherwise.
+    ``exact_dfs`` walks points in ascending order; ``antipode_paired``
+    covers the lines off ``grid_points`` exactly once with antipode pairs,
+    which fixes the size at (off-grid lines) / (t + 1) = q^2 - 1.
     """
     if cfg.target_size < 1 or cfg.target_size > gq.num_points:
         raise SearchError(f"target size {cfg.target_size} out of range")
-    if cfg.mode not in ("exact_dfs", "antipode_paired", "extend_random"):
-        raise SearchError(f"unknown search mode {cfg.mode!r}")
-    if cfg.mode == "exact_dfs" or (cfg.mode == "extend_random" and grid_points is None):
+    holders = covers = None
+    if cfg.mode == "exact_dfs":
         adj, target = gq.collinear_bits, cfg.target_size
-
-        def accept(chosen: list[int], cands: int) -> bool:
-            return cands == 0
-
-        def members_of(chosen: list[int]) -> tuple[int, ...]:
-            return tuple(sorted(chosen))
-
-    else:
+        units: Sequence[tuple[int, ...]] = [(i,) for i in range(gq.num_points)]
+    elif cfg.mode == "antipode_paired":
         if grid_points is None:
             raise SearchError("antipode_paired mode needs a grid subquadrangle")
-        if cfg.target_size % 2:
-            raise SearchError(f"{cfg.mode} over pairs needs an even target size")
         uni = PairedUniverse.build(gq, grid_points)
-        adj, target = uni.pair_adj, cfg.target_size // 2
-
-        def accept(chosen: list[int], cands: int) -> bool:
-            cover = 0
-            for i in chosen:
-                cover |= uni.pair_cover[i]
-            return cover == gq.full_mask
-
-        def members_of(chosen: list[int]) -> tuple[int, ...]:
-            return tuple(sorted(p for i in chosen for p in uni.pairs[i]))
-
-    prefix = () if cfg.root_fix is None else (cfg.root_fix,)
-    start = time.monotonic()
-    deadline = None if cfg.time_budget is None else start + cfg.time_budget
-    if cfg.mode == "extend_random":
-        chosen, nodes, restarts = _restart(
-            adj, target, accept, prefix, deadline, random.Random(cfg.seed)
-        )
-        elapsed = time.monotonic() - start
-        if chosen is None:
-            return SearchOutcome("timeout", None, nodes, elapsed, restarts)
-        return SearchOutcome("found", members_of(chosen), nodes, elapsed, restarts)
+        size = len(uni.holders) // (gq.t + 1)
+        if cfg.target_size != size:
+            raise SearchError(
+                f"a paired search over this grid finds sets of size {size}, "
+                f"not {cfg.target_size}"
+            )
+        adj, target, units = uni.conflicts(), size // 2, uni.pairs
+        holders, covers = uni.holders, uni.covers
+    else:
+        raise SearchError(f"unknown search mode {cfg.mode!r}")
 
     witness: list[tuple[int, ...]] = []
 
     def leaf(chosen: list[int], cands: int) -> bool:
-        if accept(chosen, cands):
-            witness.append(members_of(chosen))
+        if cands == 0:  # maximal; an exact cover leaves no live option
+            witness.append(tuple(sorted(p for i in chosen for p in units[i])))
             return True
         return False
 
-    nodes, timed_out = _walk(adj, target, leaf, prefix, deadline=deadline)
+    prefix = () if cfg.root_fix is None else (cfg.root_fix,)
+    start = time.monotonic()
+    deadline = None if cfg.time_budget is None else start + cfg.time_budget
+    nodes, timed_out = _walk(
+        adj, target, leaf, prefix, deadline=deadline, holders=holders, covers=covers
+    )
     elapsed = time.monotonic() - start
     if timed_out:
         return SearchOutcome("timeout", None, nodes, elapsed)

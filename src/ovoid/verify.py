@@ -13,9 +13,9 @@ Three layers live here:
   affine model) the full polynomial-identity suite.
 * :func:`invariant_profile` computes a model-independent fingerprint of a
   point set inside its quadrangle.  Equal profiles are necessary, not
-  sufficient, for two sets to be equivalent; the pipeline compares the
-  profile of a T2 example with that of its image under the explicit
-  isomorphism :meth:`~ovoid.t2.T2Model.to_q4`.
+  sufficient, for two sets to be equivalent.  The pipeline does not need
+  it: its Q4 example is the image of the T2 one under the explicit,
+  checked isomorphism :meth:`~ovoid.t2.T2Model.to_q4`.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ __all__ = [
     "VerificationReport",
     "verify_members",
     "invariant_profile",
-    "profiles_match",
     "find_example",
 ]
 
@@ -391,15 +390,11 @@ def invariant_profile(
     }
 
 
-def profiles_match(a: dict, b: dict) -> bool:
-    return a == b
-
-
 def find_example(model: Model, time_budget: Optional[float] = None):
     """Deterministic partner-paired search for a size q^2 - 1 example.
 
-    Returns the search outcome; ``outcome.members`` is the
-    lexicographically first witness through pair 0 when one exists.
+    Returns the search outcome; ``outcome.members`` is the first exact
+    cover of the off-grid lines through pair 0 when one exists.
     """
     q = model.field.q
     cfg = SearchConfig(

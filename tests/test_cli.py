@@ -130,10 +130,12 @@ def test_search_exhausted_is_a_json_failure(capsys):
 
 
 def test_search_timeout_is_a_json_failure(capsys):
+    # every 25-point partial ovoid of Q(4,5) extends to an ovoid, so the
+    # point walk can only end by exhaustion, far beyond the budget
     code, _, err = run(
         capsys,
-        "search", "--q", "3", "--model", "q4", "--mode", "random",
-        "--target", "9", "--budget", "0.2",
+        "search", "--q", "5", "--model", "q4", "--mode", "exact",
+        "--target", "25", "--budget", "0.2",
     )
     assert code == 1
     assert stderr_json(err)["status"] == "timeout"
@@ -278,7 +280,7 @@ def test_pipeline_q3_end_to_end(capsys, tmp_path):
     code, out, _ = run(capsys, "pipeline", "--q", "3", "--out-dir", str(out_dir))
     assert code == 0
     assert "comparison skipped" in out
-    assert "cross-model invariant profiles match" in out
+    assert "cross-model match by the checked isomorphism" in out
     for name in (
         "q4-example.json", "t2-example.json", "census.csv", "census.json",
         "verify-q4.json", "verify-t2.json", "manifest.json",
@@ -352,6 +354,30 @@ def test_pipeline_searches_t2_only(capsys, tmp_path, monkeypatch):
     assert verify_doc["passed"] is True
 
 
+def test_pipeline_never_computes_invariant_profiles(capsys, tmp_path, monkeypatch):
+    import ovoid.verify
+
+    profiled = []
+
+    def recording(gq, members, grid_points):
+        profiled.append(len(members))
+        return invariant_profile(gq, members, grid_points)
+
+    invariant_profile = ovoid.verify.invariant_profile
+    monkeypatch.setattr(ovoid.verify, "invariant_profile", recording)
+    out_dir = tmp_path / "p3"
+    code, _, _ = run(capsys, "pipeline", "--q", "3", "--out-dir", str(out_dir))
+    assert code == 0
+    assert profiled == []
+    assert json.loads((out_dir / "manifest.json").read_text())["results"]["cross_model_match"] is True
+    for name in ("verify-q4.json", "verify-t2.json"):
+        assert "profile" not in json.loads((out_dir / name).read_text())
+    # the recorder does see the profile that ``verify --profile`` asks for
+    code, _, _ = run(capsys, "verify", "--in", str(out_dir / "t2-example.json"), "--profile")
+    assert code == 0
+    assert profiled == [8]
+
+
 def test_pipeline_refuses_q9(capsys):
     code, _, err = run(capsys, "pipeline", "--q", "9")
     assert code == 2
@@ -397,7 +423,7 @@ def test_huge_q_under_a_raised_cap_is_refused_at_once(capsys, monkeypatch, comma
     assert time.perf_counter() - t0 < 5.0
 
 
-@pytest.mark.parametrize("mode", ["pairs", "exact", "random"])
+@pytest.mark.parametrize("mode", ["pairs", "exact"])
 def test_search_root_out_of_range_is_a_json_failure(capsys, mode):
     code, _, err = run(
         capsys, "search", "--q", "3", "--mode", mode, "--root", "5000", "--budget", "5"
@@ -426,3 +452,22 @@ def test_threads_and_seed_outside_search_are_usage_errors(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "unrecognized arguments" in only_json_error(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["search", "--q", "3", "--mode", "random"], "invalid choice: 'random'"),
+        (["search", "--q", "3", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    ],
+)
+def test_removed_search_options_are_usage_errors(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert message in only_json_error(err)["error"]
+
+
+def test_paired_search_refuses_another_target(capsys):
+    code, _, err = run(capsys, "search", "--q", "3", "--mode", "pairs", "--target", "6")
+    assert code == 2
+    assert "finds sets of size 8, not 6" in only_json_error(err)["error"]

@@ -11,7 +11,6 @@ from ovoid.gf import make_field
 from ovoid.gq import (
     GQ,
     GQError,
-    PartialOvoid,
     check_partial_ovoid,
     extension_bits,
     grid_gq,

@@ -11,6 +11,7 @@ from ovoid.search import (
     PairedUniverse,
     SearchConfig,
     SearchError,
+    _walk,
     antipode_pairs,
     check_unique_completion_exhaustive,
     enumerate_maximal,
@@ -27,7 +28,11 @@ NUM_MAXIMAL_8_THROUGH_0 = 27
 NUM_SIZE9_THROUGH_0 = 81
 # frozen node counts: a change in the walker's order or pruning shows here
 EXACT_NODES_Q3 = {8: 52, 9: 885}
-FIND_EXAMPLE_NODES = {5: (11, 11), 7: (739, 33)}  # (Q4, T2)
+FIND_EXAMPLE_NODES = {5: (11, 11), 7: (23, 23)}  # (Q4, T2)
+# exact covers of the off-grid lines by antipode pairs through pair 0 of T2
+PAIRED_COVERS_THROUGH_0 = {3: 1, 5: 5, 7: 14}
+# the paired T2 search at q = 9 proves there is no example on its grid
+PAIRED_EXHAUST_NODES_Q9 = 1948
 
 
 def q4_and_grid(q):
@@ -81,11 +86,97 @@ def test_antipode_pairs_reject_non_grid_subset():
 def test_paired_universe_adjacency_is_symmetric():
     model, grid = q4_and_grid(3)
     uni = PairedUniverse.build(model.gq, grid)
+    conflicts = uni.conflicts()
     n = len(uni.pairs)
     for i in range(n):
-        assert (uni.pair_adj[i] >> i) & 1  # self-inclusive
+        assert (conflicts[i] >> i) & 1  # self-inclusive
         for j in range(n):
-            assert ((uni.pair_adj[i] >> j) & 1) == ((uni.pair_adj[j] >> i) & 1)
+            assert ((conflicts[i] >> j) & 1) == ((conflicts[j] >> i) & 1)
+
+
+@pytest.mark.parametrize("make,q", [(q4_and_grid, 3), (t2_and_grid, 5), (q4_and_grid, 7)])
+def test_paired_universe_lines_and_conflicts(make, q):
+    model, grid = make(q)
+    uni = PairedUniverse.build(model.gq, grid)
+    # the items are the (q+1)(q^2-1) off-grid lines; each pair meets
+    # 2(q+1) of them and each of them holds q pairs
+    assert len(uni.holders) == (q + 1) * (q * q - 1)
+    assert all(c.bit_count() == 2 * (q + 1) for c in uni.covers)
+    assert all(h.bit_count() == q for h in uni.holders)
+    assert uni.conflicts() == oracle_pair_adjacency(model.gq, uni.pairs)[0]
+
+
+# ----------------------------------------------------------------------
+# the ascending pair walk the exact cover replaced, kept as an oracle
+# ----------------------------------------------------------------------
+
+def oracle_pair_adjacency(gq, pairs):
+    """Self-inclusive pair adjacency and per-pair point cover."""
+    coll = gq.collinear_bits
+    cover = [coll[a] | coll[b] for a, b in pairs]
+    adj = []
+    for i in range(len(pairs)):
+        mask = 0
+        for j, (c, d) in enumerate(pairs):
+            if (cover[i] >> c) & 1 or (cover[i] >> d) & 1 or i == j:
+                mask |= 1 << j
+        adj.append(mask)
+    return adj, cover
+
+
+def oracle_paired_solutions(gq, grid, root=0):
+    """Every pair set through ``root`` that covers all points, by an
+    ascending walk over the pair adjacency with the cover test at the leaf."""
+    pairs = antipode_pairs(gq, grid)
+    adj, cover = oracle_pair_adjacency(gq, pairs)
+    target = (gq.s * gq.s - 1) // 2
+    full = (1 << len(pairs)) - 1
+    chosen = [root]
+    found = []
+
+    def walk(cands, last):
+        if len(chosen) == target:
+            mask = 0
+            for i in chosen:
+                mask |= cover[i]
+            if mask == gq.full_mask:
+                found.append(tuple(sorted(p for i in chosen for p in pairs[i])))
+            return
+        avail = cands & (full << (last + 1))
+        while avail and avail.bit_count() >= target - len(chosen):
+            low = avail & -avail
+            i = low.bit_length() - 1
+            avail ^= low
+            chosen.append(i)
+            walk(cands & ~adj[i], i)
+            chosen.pop()
+
+    walk(full & ~adj[root], root)
+    return sorted(found)
+
+
+def paired_solutions(gq, grid, root=0):
+    """Every exact cover through ``root``, from the search's own walker."""
+    uni = PairedUniverse.build(gq, grid)
+    found = []
+
+    def leaf(chosen, cands):
+        found.append(tuple(sorted(p for i in chosen for p in uni.pairs[i])))
+        return False
+
+    target = len(uni.holders) // (gq.t + 1) // 2
+    _walk(uni.conflicts(), target, leaf, (root,), holders=uni.holders, covers=uni.covers)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("q", sorted(PAIRED_COVERS_THROUGH_0))
+def test_exact_cover_walk_matches_ascending_oracle(q):
+    model, grid = t2_and_grid(q)
+    got = paired_solutions(model.gq, grid)
+    assert got == oracle_paired_solutions(model.gq, grid)
+    assert len(got) == PAIRED_COVERS_THROUGH_0[q]
+    for members in got:
+        assert_maximal_partial_ovoid(model.gq, members, q * q - 1)
 
 
 # ----------------------------------------------------------------------
@@ -137,6 +228,14 @@ def test_find_example_node_counts_frozen(q):
     assert (q4.nodes, t2.nodes) == FIND_EXAMPLE_NODES[q]
 
 
+def test_paired_search_exhausts_q9():
+    # q = 3^2: no maximal partial ovoid of size q^2 - 1 through pair 0
+    model = build_t2_model(make_field(3, 2))
+    cfg = SearchConfig(80, mode="antipode_paired", root_fix=0)
+    out = search_maximal(model.gq, cfg, model.grid_points)
+    assert (out.status, out.members, out.nodes) == ("exhausted", None, PAIRED_EXHAUST_NODES_Q9)
+
+
 # ----------------------------------------------------------------------
 # exact point-level search
 # ----------------------------------------------------------------------
@@ -179,40 +278,6 @@ def test_enumerate_maximal_q3():
 
 
 # ----------------------------------------------------------------------
-# randomized restarts
-# ----------------------------------------------------------------------
-
-def test_extend_random_is_seed_reproducible():
-    model, grid = q4_and_grid(3)
-    cfg = SearchConfig(8, mode="extend_random", seed=11, time_budget=30.0)
-    a = search_maximal(model.gq, cfg)
-    b = search_maximal(model.gq, cfg)
-    assert a.status == "found"
-    assert a.members == b.members
-    assert a.restarts == b.restarts
-    assert (a.members, a.nodes, a.restarts) == ((0, 1, 14, 15, 24, 25, 38, 39), 40, 5)
-    assert_maximal_partial_ovoid(model.gq, a.members, 8)
-
-
-def test_extend_random_paired_mode():
-    model, grid = t2_and_grid(3)
-    cfg = SearchConfig(8, mode="extend_random", seed=2, time_budget=30.0)
-    out = search_maximal(model.gq, cfg, grid)
-    assert out.status == "found"
-    assert (out.members, out.nodes, out.restarts) == ((0, 10, 14, 17, 20, 22, 25, 39), 4, 1)
-    assert_maximal_partial_ovoid(model.gq, out.members, 8)
-    assert not set(out.members) & set(grid)
-
-
-def test_extend_random_times_out_on_impossible_target():
-    model, _ = q4_and_grid(3)
-    cfg = SearchConfig(9, mode="extend_random", seed=0, time_budget=0.2)
-    out = search_maximal(model.gq, cfg)
-    assert out.status == "timeout"
-    assert out.restarts > 0
-
-
-# ----------------------------------------------------------------------
 # configuration errors
 # ----------------------------------------------------------------------
 
@@ -224,13 +289,12 @@ def test_search_config_errors():
         search_maximal(model.gq, SearchConfig(8, mode="no_such_mode"))
     with pytest.raises(SearchError):
         search_maximal(model.gq, SearchConfig(8, mode="antipode_paired"))
-    with pytest.raises(SearchError):
-        search_maximal(model.gq, SearchConfig(7, mode="antipode_paired"), grid)
+    for size in (6, 7, 10):
+        with pytest.raises(SearchError, match=f"finds sets of size 8, not {size}"):
+            search_maximal(model.gq, SearchConfig(size, mode="antipode_paired"), grid)
     for mode, universe in [
         ("antipode_paired", grid),
         ("exact_dfs", None),
-        ("extend_random", None),
-        ("extend_random", grid),
     ]:
         for root in (999, -1):
             with pytest.raises(SearchError, match="out of range"):

@@ -10,7 +10,6 @@ from ovoid.verify import (
     PROPERTY_SUITES,
     find_example,
     invariant_profile,
-    profiles_match,
     property_antipode_pairing,
     property_census_mass,
     property_collinearity,
@@ -198,7 +197,7 @@ def test_profiles_agree_across_models(q):
         model = build(name, q)
         members = find_example(model).members
         profs[name] = invariant_profile(model.gq, members, seed_grid(model))
-    assert profiles_match(profs["Q4"], profs["T2"])
+    assert profs["Q4"] == profs["T2"]
 
 
 def test_profiles_distinguish_different_sets():
@@ -211,4 +210,4 @@ def test_profiles_distinguish_different_sets():
     # same triple-center counts (both are maximal 8-sets) but the grid
     # breakdown differs because the second set is not grid-compatible
     assert prof_a["triple_centers"] == prof_b["triple_centers"]
-    assert not profiles_match(prof_a, prof_b)
+    assert prof_a != prof_b
