@@ -435,9 +435,17 @@ def cmd_pipeline(args) -> int:
     def step(msg: str) -> None:
         print(f"[{time.perf_counter() - t_start:6.2f}s] {msg}")
 
-    t2 = cached_model("T2", field)
+    seconds: dict[str, float] = {}
+
+    def timed(stage: str, fn, *fargs, **fkwargs):
+        t0 = time.perf_counter()
+        out = fn(*fargs, **fkwargs)
+        seconds[stage] = round(time.perf_counter() - t0, 4)
+        return out
+
+    t2 = timed("t2_build", cached_model, "T2", field)
     step(f"T2: built ({t2.gq.num_points} points)")
-    outcome = find_example(t2, time_budget=args.budget)
+    outcome = timed("search", find_example, t2, time_budget=args.budget)
     if not outcome.found:
         raise CLIError(
             f"T2: search {outcome.status} after {outcome.nodes} nodes; "
@@ -446,9 +454,9 @@ def cmd_pipeline(args) -> int:
             extra={"model": "T2", "status": outcome.status},
         )
     step(f"T2: found size {len(outcome.members)} ({outcome.nodes} nodes, {outcome.elapsed:.2f} s)")
-    q4 = cached_model("Q4", field)
+    q4 = timed("q4_build", cached_model, "Q4", field)
     step(f"Q4: built ({q4.gq.num_points} points)")
-    image = t2.to_q4(q4)
+    image = timed("map_check", t2.to_q4, q4)
     step(f"Q4: T2 -> Q4 isomorphism checked on {len(q4.gq.lines)} lines")
     examples = {
         "T2": (t2, outcome.members),
@@ -460,7 +468,7 @@ def cmd_pipeline(args) -> int:
         save_point_set(set_path, model, members)
         paths[f"{name.lower()}_set"] = set_path
 
-        report = verify_members(model, members)
+        report = timed(f"verify_{name.lower()}", verify_members, model, members)
         verify_path = out_dir / f"verify-{name.lower()}.json"
         _write_json(verify_path, report.to_json())
         paths[f"{name.lower()}_verify"] = verify_path
@@ -481,17 +489,20 @@ def cmd_pipeline(args) -> int:
         }
 
     members = examples["Q4"][1]
-    census = run_census(q4, members)
+    census = timed("census", run_census, q4, members)
     write_census_csv(census, out_dir / "census.csv")
     write_census_json(census, out_dir / "census.json")
     paths["census_csv"] = out_dir / "census.csv"
     paths["census_json"] = out_dir / "census.json"
-    census_checks = {
-        "mass_conservation": check_mass_conservation(census),
-        "double_count": check_double_count(census, q4),
-        "residues": check_residues(census, field),
-        "antipode_minus3": check_antipode_minus3(census),
-    }
+    census_checks = timed(
+        "census_checks",
+        lambda: {
+            "mass_conservation": check_mass_conservation(census),
+            "double_count": check_double_count(census, q4),
+            "residues": check_residues(census, field),
+            "antipode_minus3": check_antipode_minus3(census),
+        },
+    )
     bad = {k: v.detail for k, v in census_checks.items() if not v.ok}
     if bad:
         raise CLIError("census checks failed", exit_code=1, extra={"checks": bad})
@@ -540,6 +551,16 @@ def cmd_pipeline(args) -> int:
         paths,
         wall_time=wall,
     )
+    # per-stage seconds and work counters, like wall_time outside the digest
+    manifest["timings"] = {
+        "seconds": seconds,
+        "counters": {
+            "search_nodes": outcome.nodes,
+            "t2_lines": len(t2.gq.lines),
+            "q4_lines": len(q4.gq.lines),
+            "hyperplanes": census.num_hyperplanes,
+        },
+    }
     _write_json(out_dir / "manifest.json", manifest)
     step(f"wrote {out_dir}/manifest.json")
     print(f"digest {manifest['digest']}")

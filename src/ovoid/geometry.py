@@ -6,6 +6,12 @@ coordinate is 1, enumerated in lexicographic order of the normalized
 tuples.  Hyperplanes use the same canonical tuples, read as equation
 coefficients: a point v lies on the hyperplane with coefficients c iff
 sum_i c_i * v_i = 0.
+
+A quadric computes its tangent hyperplanes and collinearity matrix for all
+points at once, by gathers through the field's addition and
+multiplication tables, and reads each of its lines as {i, j}⊥, the common
+neighbours of two collinear points.  The scalar methods (``normalize``,
+``pairing``, ``QuadraticForm.polar``) serve single queries and tests.
 """
 
 from __future__ import annotations
@@ -18,6 +24,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ovoid.gf import Field, mat_nullspace
+
+
+# rows of the collinearity matrix summed per block in Quadric.__init__
+_BLOCK_ROWS = 64
 
 
 class GeometryError(ValueError):
@@ -81,18 +91,6 @@ class ProjectiveSpace:
     def pairing_all(self, vec: Sequence[int]) -> np.ndarray:
         """Pairing of one coefficient vector against every point."""
         return self.field.dot_arr(self.coords, tuple(int(v) for v in vec))
-
-    def line_points(self, u: Sequence[int], v: Sequence[int]) -> list[tuple[int, ...]]:
-        """The q + 1 points of the line spanned by two distinct points."""
-        f = self.field
-        u = self.normalize(u)
-        v = self.normalize(v)
-        if u == v:
-            raise GeometryError("a line needs two distinct points")
-        pts = [u]
-        for t in f.elements():
-            pts.append(self.normalize(tuple(f.add(b, f.mul(t, a)) for a, b in zip(u, v))))
-        return pts
 
 
 class QuadraticForm:
@@ -233,18 +231,33 @@ class Quadric:
         n = len(self.points)
         self.size = n
 
-        # tangent hyperplane (perp) coefficients per point, normalized
-        self.perps: tuple[tuple[int, ...], ...] = tuple(
-            space.normalize(form.polar_vector(pt)) for pt in self.points
+        # tangent hyperplane (perp) coefficients per point: B v for every
+        # point at once (nonzero, as q is odd and the quadric nonsingular),
+        # each row scaled by the inverse of its leading entry
+        f = self.field
+        perps = np.stack(
+            [f.dot_arr(self.coords, row) for row in form.polar_matrix], axis=1
         )
+        lead = perps[np.arange(n), (perps != 0).argmax(axis=1)]
+        self.perps = f._mul_np[f._inv_np[lead][:, None], perps]
 
         # collinearity: two quadric points span a line on the quadric iff
-        # their polar pairing vanishes
-        coll = np.zeros((n, n), dtype=bool)
-        f = self.field
-        for i in range(n):
-            row = f.dot_arr(self.coords, self.perps[i])
-            coll[i] = row == 0
+        # their polar pairing vanishes.  Row blocks keep every temporary
+        # small: per coordinate j the products mul[c, coords[:, j]] are
+        # gathered once for all c, and a block's running sum steps through
+        # the flat addition table at index acc * q + term
+        q = f.q
+        add_flat = f._add_np.ravel().astype(np.intp)
+        products = [f._mul_np[:, self.coords[:, j]] for j in range(space.n + 1)]
+        coll = np.empty((n, n), dtype=bool)
+        for lo in range(0, n, _BLOCK_ROWS):
+            blk = self.perps[lo : lo + _BLOCK_ROWS]
+            acc = products[0][blk[:, 0]].astype(np.intp)
+            for j in range(1, space.n + 1):
+                acc *= q
+                acc += products[j][blk[:, j]]
+                acc = add_flat[acc]
+            coll[lo : lo + _BLOCK_ROWS] = acc == 0
         if not np.array_equal(coll, coll.T):  # pragma: no cover
             raise GeometryError("collinearity matrix is not symmetric")
         self.collinear = coll
@@ -260,30 +273,38 @@ class Quadric:
             raise GeometryError(f"{pt} is not on the quadric") from None
 
     def perp(self, i: int) -> tuple[int, ...]:
-        return self.perps[i]
+        return tuple(int(c) for c in self.perps[i])
 
     # -- totally isotropic lines ---------------------------------------
 
     def lines(self) -> list[tuple[int, ...]]:
         """All lines contained in the quadric, as sorted local index tuples.
 
-        Each line is materialized once, from its least point: building a
-        line clears all of its point pairs from a working copy of the
-        collinearity matrix, so later points only walk partners on lines
-        not yet built.
+        The line through two collinear points i and j is {i, j}⊥, the
+        points collinear with both: a quadric without planes (a quadrangle
+        has no triangles) has no other common neighbours, and a perp of
+        any other size is refused.  Each line is read once, from its least
+        point: reading a line clears all of its point pairs from a working
+        copy of the collinearity matrix, so later points only see partners
+        on lines not yet read.
         """
-        unseen = self.collinear.copy()
+        coll = self.collinear
+        unseen = coll.copy()
         np.fill_diagonal(unseen, False)
+        size = self.field.q + 1
         out: list[tuple[int, ...]] = []
         for i in range(self.size):
             row = unseen[i]
             while row.any():
                 j = int(row.argmax())
-                pts = self.space.line_points(self.points[i], self.points[j])
-                line = tuple(sorted(self._local[p] for p in pts))
-                idx = np.array(line)
+                idx = np.flatnonzero(coll[i] & coll[j])
+                if len(idx) != size:
+                    raise GeometryError(
+                        f"points {i} and {j} have {len(idx)} common neighbours, "
+                        f"not the {size} points of a line"
+                    )
                 unseen[idx[:, None], idx] = False
-                out.append(line)
+                out.append(tuple(idx.tolist()))
         out.sort()
         return out
 

@@ -5,7 +5,9 @@ point, two points on at most one common line, and for every non-incident
 point-line pair (x, L) exactly one point of L collinear with x.  Points
 are dense integer indices; lines are sorted index tuples.  Collinearity
 masks are Python ints used as bitsets (bit i of ``collinear_bits[j]`` is
-set iff i == j or the two points share a line).
+set iff i == j or the two points share a line).  ``verify_gq`` checks the
+axioms as whole-array passes over the line table and refuses point
+indices outside the structure.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+
+# lines per block in the axiom-three pass of verify_gq
+_BLOCK_LINES = 128
 
 
 class GQError(ValueError):
@@ -25,7 +30,13 @@ class GQError(ValueError):
 
 
 def verify_gq(num_points: int, lines: Sequence[tuple[int, ...]]) -> tuple[int, int]:
-    """Check the quadrangle axioms exhaustively and return the order (s, t)."""
+    """Check the quadrangle axioms exhaustively and return the order (s, t).
+
+    The checks run as whole-array passes over the line table: a range
+    check, degrees by ``bincount``, repeated points and pairs on two lines
+    from the point pairs of all lines in line order (the first offence in
+    that order is reported), and axiom three over blocks of lines.
+    """
     if not lines:
         raise GQError("no lines")
     sizes = {len(line) for line in lines}
@@ -34,18 +45,22 @@ def verify_gq(num_points: int, lines: Sequence[tuple[int, ...]]) -> tuple[int, i
     s = sizes.pop() - 1
     if s < 1:
         raise GQError("lines must carry at least two points")
-
-    degrees = [0] * num_points
-    for line in lines:
-        for i in line:
-            degrees[i] += 1
-    degs = set(degrees)
-    if len(degs) != 1:
-        thin = degrees.index(min(degs))
+    table = np.array(lines, dtype=np.int64)
+    outside = (table < 0) | (table >= num_points)
+    if outside.any():
+        li, k = (int(v) for v in np.argwhere(outside)[0])
         raise GQError(
-            f"point degrees vary: {sorted(degs)}", witness={"point": thin}
+            f"line {li} has point {int(table[li, k])}, outside 0..{num_points - 1}",
+            witness={"line": li},
         )
-    t = degs.pop() - 1
+
+    degrees = np.bincount(table.ravel(), minlength=num_points)
+    degs = sorted(set(degrees.tolist()))
+    if len(degs) != 1:
+        raise GQError(
+            f"point degrees vary: {degs}", witness={"point": int(degrees.argmin())}
+        )
+    t = degs[0] - 1
     if t < 1:
         raise GQError("points must lie on at least two lines")
 
@@ -58,35 +73,43 @@ def verify_gq(num_points: int, lines: Sequence[tuple[int, ...]]) -> tuple[int, i
             f"{len(lines)} lines, expected (t+1)(st+1) = {(t + 1) * (s * t + 1)}"
         )
 
-    # at most one common line per point pair, tracked while building the
-    # collinearity matrix (diagonal set for the axiom-three sums below)
+    # at most one common line per point pair: the pairs of every line in
+    # line order; a pair is an offence if its points agree or if it
+    # repeats an earlier pair (equal neighbours among the stably sorted keys)
+    a, b = np.triu_indices(s + 1, 1)
+    first, second = table[:, a].ravel(), table[:, b].ravel()
+    keys = np.minimum(first, second) * num_points + np.maximum(first, second)
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    offence = first == second
+    offence[repeats] = True
+    if offence.any():
+        k = int(offence.argmax())
+        li, i, j = k // len(a), int(first[k]), int(second[k])
+        if i == j:
+            raise GQError(f"line {li} repeats point {i}", witness={"line": li})
+        raise GQError(
+            f"points {i} and {j} lie on two common lines", witness={"points": (i, j)}
+        )
+    # collinearity matrix, diagonal set for the axiom-three sums below
     coll = np.eye(num_points, dtype=bool)
-    for li, line in enumerate(lines):
-        for a in range(len(line)):
-            for b in range(a + 1, len(line)):
-                i, j = line[a], line[b]
-                if i == j:
-                    raise GQError(f"line {li} repeats point {i}", witness={"line": li})
-                if coll[i, j]:
-                    raise GQError(
-                        f"points {i} and {j} lie on two common lines",
-                        witness={"points": (i, j)},
-                    )
-                coll[i, j] = True
-                coll[j, i] = True
+    coll[first, second] = True
+    coll[second, first] = True
 
     # axiom three: for x not on L, exactly one point of L is collinear with
     # x; with the diagonal set, points on L see s + 1 line members
-    for li, line in enumerate(lines):
-        counts = coll[list(line)].sum(axis=0, dtype=np.int32)
-        on_line = np.zeros(num_points, dtype=bool)
-        on_line[list(line)] = True
-        bad = np.flatnonzero(~on_line & (counts != 1))
-        if len(bad):
-            x = int(bad[0])
+    for lo in range(0, len(table), _BLOCK_LINES):
+        blk = table[lo : lo + _BLOCK_LINES]
+        counts = coll[blk].sum(axis=1, dtype=np.int32)
+        off_line = np.ones(counts.shape, dtype=bool)
+        off_line[np.arange(len(blk))[:, None], blk] = False
+        bad = off_line & (counts != 1)
+        if bad.any():
+            row, x = (int(v) for v in np.argwhere(bad)[0])
             raise GQError(
-                f"point {x} sees {int(counts[x])} points of line {li}, expected 1",
-                witness={"point": x, "line": li},
+                f"point {x} sees {int(counts[row, x])} points of line {lo + row}, "
+                "expected 1",
+                witness={"point": x, "line": lo + row},
             )
     return s, t
 

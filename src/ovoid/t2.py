@@ -15,6 +15,11 @@ plus the unique tangent plane through it) and the q + 1 conic points
 Plane labels follow the convention that the plane pi(x, y, z, w) has the
 equation y X0 + z X1 + w X2 + x X3 = 0; internally planes are stored as
 standard coefficient 4-tuples (y, z, w, x), normalized like points.
+
+The build is array-first: the affine point (a, b, c) has index
+a q^2 + b q + c, the lines toward each conic point come from one gather
+of all translates through the field tables, and the grid is one masked
+gather as well.
 """
 
 from __future__ import annotations
@@ -22,8 +27,10 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+import numpy as np
+
 from ovoid.geometry import GeometryError, ProjectiveSpace
-from ovoid.gf import Field, mat_nullspace
+from ovoid.gf import Field, FieldError, mat_nullspace
 from ovoid.gq import GQ, GQError, check_isomorphism
 
 if TYPE_CHECKING:
@@ -116,31 +123,25 @@ class T2Model:
         self.point_labels = tuple(labels)
 
         # -- lines --------------------------------------------------------
-        # each affine line is built once, from its least point: affine
-        # points run in ascending order and a built line marks its points
+        # the affine lines toward conic point d are the cosets a + <d>; an
+        # affine point's index is its base-q code, and each coset is kept
+        # at its least member, so the lines run in order of least points
+        aff = np.array(affines, dtype=np.int16).reshape(-1, 3)
+        weights = np.array([q * q, q, 1])
+        steps = np.arange(q)
         lines: list[tuple[int, ...]] = []
-        for ci, cpt in enumerate(self.conic.points):
-            tang = self.conic.tangents[ci]
-            d = cpt  # direction vector of the affine lines toward this point
-            seen: set[tuple[int, int, int]] = set()
-            for a in affines:
-                if a in seen:
-                    continue
-                coset = [self._translate(a, d, t) for t in f.elements()]
-                seen.update(coset)
-                x = f.neg(
-                    f.add(
-                        f.add(f.mul(tang[0], a[0]), f.mul(tang[1], a[1])),
-                        f.mul(tang[2], a[2]),
-                    )
-                )
-                members = [self.affine_index[c] for c in coset]
-                members.append(self.plane_index[(tang[0], tang[1], tang[2], x)])
-                lines.append(tuple(members))
-        for ci, tang in enumerate(self.conic.tangents):
-            members = [self.plane_index[(tang[0], tang[1], tang[2], x)] for x in f.elements()]
-            members.append(self.inf_index)
-            lines.append(tuple(members))
+        for cpt, tang in zip(self.conic.points, self.conic.tangents):
+            d = np.array(cpt)
+            cosets = f._add_np[aff[:, None, :], f._mul_np[steps[:, None], d]]
+            codes = np.sort(cosets @ weights, axis=1)
+            keep = np.flatnonzero(codes[:, 0] == np.arange(len(aff)))
+            # the plane through each coset: tangent pencil, x = -(tang . a)
+            xs = f._neg_np[f.dot_arr(aff[keep], tang)].astype(np.int64)
+            planes = self.plane_index[(*tang, 0)] + xs
+            lines += map(tuple, np.column_stack([codes[keep], planes]).tolist())
+        for tang in self.conic.tangents:
+            first = self.plane_index[(*tang, 0)]
+            lines.append(tuple(range(first, first + q)) + (self.inf_index,))
 
         self.gq = GQ(lines, num_points=num_points)
         if (self.gq.s, self.gq.t) != (q, q):
@@ -148,24 +149,13 @@ class T2Model:
 
         # -- canonical hyperbolic grid: X1^2 - X0 X2 - X3^2 ---------------
         # affine part b^2 - ac = 1, plus the x = 0 plane of each tangent pencil
-        one = 1
-        grid = [
-            self.affine_index[(a, b, c)]
-            for (a, b, c) in affines
-            if f.sub(f.sub(f.mul(b, b), f.mul(a, c)), one) == 0
-        ]
-        grid += [self.plane_index[(t[0], t[1], t[2], 0)] for t in self.conic.tangents]
+        sq = f._mul_np[aff[:, 1], aff[:, 1]]
+        ac = f._mul_np[aff[:, 0], aff[:, 2]]
+        grid = np.flatnonzero(f._add_np[sq, f._neg_np[ac]] == 1).tolist()
+        grid += [self.plane_index[(*t, 0)] for t in self.conic.tangents]
         if len(grid) != (q + 1) ** 2:  # pragma: no cover
             raise GeometryError(f"grid has {len(grid)} points, expected {(q + 1) ** 2}")
         self.grid_points = tuple(sorted(grid))
-
-    def _translate(self, a: Sequence[int], d: Sequence[int], t: int) -> tuple[int, int, int]:
-        f = self.field
-        return (
-            f.add(a[0], f.mul(t, d[0])),
-            f.add(a[1], f.mul(t, d[1])),
-            f.add(a[2], f.mul(t, d[2])),
-        )
 
     # -- the isomorphism T2(C) -> Q(4, q) -----------------------------------
 
@@ -292,17 +282,23 @@ class T2Model:
     def determined_directions(
         self, triples: Sequence[Sequence[int]]
     ) -> set[tuple[int, int, int]]:
-        """Points at infinity determined by secants of the affine set."""
+        """Points at infinity determined by secants of the affine set.
+
+        The differences of all pairs come from one table gather, and each
+        row is scaled by the inverse of its leading entry.
+        """
         f = self.field
-        pts = [tuple(int(v) for v in t) for t in triples]
-        out: set[tuple[int, int, int]] = set()
-        for i in range(len(pts)):
-            ai = pts[i]
-            for j in range(i + 1, len(pts)):
-                aj = pts[j]
-                diff = (f.sub(ai[0], aj[0]), f.sub(ai[1], aj[1]), f.sub(ai[2], aj[2]))
-                out.add(self.conic.plane.normalize(diff))
-        return out
+        pts = np.array(triples, dtype=np.int64).reshape(-1, 3)
+        if pts.size and (pts.min() < 0 or pts.max() >= f.q):
+            raise FieldError(f"affine coordinates must lie in GF({f.q})")
+        i, j = np.triu_indices(len(pts), 1)
+        diff = f._add_np[pts[i], f._neg_np[pts[j]]]
+        nonzero = diff != 0
+        if not nonzero.any(axis=1).all():
+            raise GeometryError("the zero vector spans no projective point")
+        lead = diff[np.arange(len(diff)), nonzero.argmax(axis=1)]
+        diff = f._mul_np[f._inv_np[lead][:, None], diff]
+        return set(map(tuple, diff.tolist()))
 
     # -- geometric identification of a grid as a quadric surface ----------
 

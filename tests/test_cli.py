@@ -328,7 +328,22 @@ def test_pipeline_digests_pinned(capsys, tmp_path, q):
     code, out, _ = run(capsys, "pipeline", "--q", str(q), "--out-dir", str(out_dir))
     assert code == 0
     assert f"digest {PIPELINE_DIGESTS[q]}" in out
-    assert json.loads((out_dir / "manifest.json").read_text())["digest"] == PIPELINE_DIGESTS[q]
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["digest"] == PIPELINE_DIGESTS[q]
+    # per-stage timings ride along outside the digest
+    timings = manifest["timings"]
+    assert set(timings["seconds"]) == {
+        "t2_build", "search", "q4_build", "map_check",
+        "verify_t2", "verify_q4", "census", "census_checks",
+    }
+    assert all(v >= 0 for v in timings["seconds"].values())
+    n = (q + 1) * (q * q + 1)
+    assert timings["counters"] == {
+        "search_nodes": {3: 3, 5: 11}[q],
+        "t2_lines": n,
+        "q4_lines": n,
+        "hyperplanes": (q**5 - 1) // (q - 1),
+    }
 
 
 def test_pipeline_searches_t2_only(capsys, tmp_path, monkeypatch):

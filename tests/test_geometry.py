@@ -230,24 +230,39 @@ def test_ti_line_counts(q):
     assert set(degrees) == {q + 1}
 
 
+def oracle_line_points(space, u, v):
+    """The q + 1 points of the line spanned by two distinct points, by
+    scalar field arithmetic (formerly ``ProjectiveSpace.line_points``)."""
+    f = space.field
+    u = space.normalize(u)
+    v = space.normalize(v)
+    assert u != v, "a line needs two distinct points"
+    pts = [u]
+    for t in f.elements():
+        pts.append(space.normalize(tuple(f.add(b, f.mul(t, a)) for a, b in zip(u, v))))
+    return pts
+
+
 def oracle_quadric_lines(quad):
-    """The former ``Quadric.lines``: every line rebuilt from each of its
-    points, kept only when that point is the least."""
+    """The scalar ``Quadric.lines``: each line is the span of its least
+    point i and the least partner of i not yet on a built line."""
+    unseen = quad.collinear.copy()
+    np.fill_diagonal(unseen, False)
     out = []
     for i in range(len(quad)):
-        remaining = set(np.flatnonzero(quad.collinear[i])) - {i}
-        while remaining:
-            j = min(remaining)
-            pts = quad.space.line_points(quad.points[i], quad.points[j])
+        row = unseen[i]
+        while row.any():
+            j = int(row.argmax())
+            pts = oracle_line_points(quad.space, quad.points[i], quad.points[j])
             line = tuple(sorted(quad.local_index(p) for p in pts))
-            remaining -= set(line)
-            if line[0] == i:
-                out.append(line)
+            idx = np.array(line)
+            unseen[idx[:, None], idx] = False
+            out.append(line)
     out.sort()
     return out
 
 
-@pytest.mark.parametrize("p,h", [(3, 1), (5, 1), (7, 1), (3, 2)])
+@pytest.mark.parametrize("p,h", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1)])
 def test_lines_match_rebuild_oracle(p, h):
     quad = parabolic_quadric(make_field(p, h))
     assert quad.lines() == oracle_quadric_lines(quad)
@@ -261,7 +276,41 @@ def test_line_points_on_quadric_are_collinear_closure():
     # every pair on the line spans the same point set
     base = set(pts)
     for u, v in itertools.combinations(pts, 2):
-        assert set(quad.space.line_points(u, v)) == base
+        assert set(oracle_line_points(quad.space, u, v)) == base
+
+
+@pytest.mark.parametrize("p,h", [(3, 1), (5, 1), (3, 2)])
+def test_perps_and_collinearity_match_scalar_polar(p, h):
+    # the array build against the scalar polar form, on every point pair;
+    # the pairing of polar_vector(u) with v is polar(u, v), summed here
+    # through the scalar tables
+    quad = parabolic_quadric(make_field(p, h))
+    f, form, pts = quad.field, quad.form, quad.points
+    add, mul = f._add_py, f._mul_py
+    for i, u in enumerate(pts):
+        h_u = form.polar_vector(u)
+        assert quad.perp(i) == quad.space.normalize(h_u)
+        row = []
+        for v in pts:
+            acc = 0
+            for a, b in zip(h_u, v):
+                acc = add[acc][mul[a][b]]
+            row.append(acc == 0)
+        assert quad.collinear[i].tolist() == row
+    if p == 3 and h == 1:
+        for i, j in itertools.product(range(len(pts)), repeat=2):
+            assert quad.collinear[i, j] == (form.polar(pts[i], pts[j]) == 0)
+
+
+def test_lines_refuse_a_quadric_with_planes():
+    # Q(6, 3) carries planes, so the common neighbours of two collinear
+    # points are more than the points of their line
+    f = make_field(3)
+    coeffs = [[0] * 7 for _ in range(7)]
+    coeffs[0][0] = coeffs[1][2] = coeffs[3][4] = coeffs[5][6] = 1
+    quad = Quadric(ProjectiveSpace(6, f), QuadraticForm(f, coeffs))
+    with pytest.raises(GeometryError, match="common neighbours"):
+        quad.lines()
 
 
 def test_hyperbolic_seed_hyperplane():

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from ovoid.geometry import GeometryError, SectionType
-from ovoid.gf import make_field
+from ovoid.gf import FieldError, make_field
 from ovoid.gq import (
     GQ,
     GQError,
@@ -20,6 +21,7 @@ from ovoid.gq import (
 )
 from ovoid.q4 import build_q4_model
 from ovoid.t2 import INF, build_t2_model
+from ovoid.verify import find_example
 
 
 def test_grid_is_gq_of_order_s_1():
@@ -29,17 +31,100 @@ def test_grid_is_gq_of_order_s_1():
     assert len(g.lines) == 8
 
 
+def oracle_verify_gq(num_points, lines):
+    """The scalar quadrangle check: one Python loop per axiom, kept as the
+    oracle of the array version (with the same point range check)."""
+    if not lines:
+        raise GQError("no lines")
+    sizes = {len(line) for line in lines}
+    if len(sizes) != 1:
+        raise GQError(f"line sizes vary: {sorted(sizes)}")
+    s = sizes.pop() - 1
+    if s < 1:
+        raise GQError("lines must carry at least two points")
+    for li, line in enumerate(lines):
+        for i in line:
+            if not 0 <= i < num_points:
+                raise GQError(
+                    f"line {li} has point {i}, outside 0..{num_points - 1}",
+                    witness={"line": li},
+                )
+
+    degrees = [0] * num_points
+    for line in lines:
+        for i in line:
+            degrees[i] += 1
+    degs = set(degrees)
+    if len(degs) != 1:
+        thin = degrees.index(min(degs))
+        raise GQError(f"point degrees vary: {sorted(degs)}", witness={"point": thin})
+    t = degs.pop() - 1
+    if t < 1:
+        raise GQError("points must lie on at least two lines")
+    if num_points != (s + 1) * (s * t + 1):
+        raise GQError(
+            f"{num_points} points, expected (s+1)(st+1) = {(s + 1) * (s * t + 1)}"
+        )
+    if len(lines) != (t + 1) * (s * t + 1):
+        raise GQError(
+            f"{len(lines)} lines, expected (t+1)(st+1) = {(t + 1) * (s * t + 1)}"
+        )
+
+    coll = np.eye(num_points, dtype=bool)
+    for li, line in enumerate(lines):
+        for a in range(len(line)):
+            for b in range(a + 1, len(line)):
+                i, j = line[a], line[b]
+                if i == j:
+                    raise GQError(f"line {li} repeats point {i}", witness={"line": li})
+                if coll[i, j]:
+                    raise GQError(
+                        f"points {i} and {j} lie on two common lines",
+                        witness={"points": (i, j)},
+                    )
+                coll[i, j] = True
+                coll[j, i] = True
+
+    for li, line in enumerate(lines):
+        counts = coll[list(line)].sum(axis=0, dtype=np.int32)
+        on_line = np.zeros(num_points, dtype=bool)
+        on_line[list(line)] = True
+        bad = np.flatnonzero(~on_line & (counts != 1))
+        if len(bad):
+            x = int(bad[0])
+            raise GQError(
+                f"point {x} sees {int(counts[x])} points of line {li}, expected 1",
+                witness={"point": x, "line": li},
+            )
+    return s, t
+
+
+def _grid_with_first_line(line):
+    return [line] + list(grid_gq(2).lines[1:])
+
+
+# name -> (num_points, lines, a phrase of the expected error)
+BROKEN = {
+    "no lines": (4, [], "no lines"),
+    "ragged": (4, [(0, 1), (1, 2, 3)], "sizes vary"),
+    "repeated point": (4, [(0, 0), (1, 1), (2, 3), (2, 3)], "repeats point 0"),
+    "two common lines": (4, [(0, 1), (0, 1), (2, 3), (2, 3)], "two common lines"),
+    "triangle": (3, [(0, 1), (1, 2), (0, 2)], "expected"),
+    "missing line": (9, list(grid_gq(2).lines[:-1]), "degrees vary"),
+    "negative point": (9, _grid_with_first_line((-9, 1, 2)), "point -9, outside"),
+    "point past the end": (9, _grid_with_first_line((0, 1, 9)), "point 9, outside"),
+}
+
+
 def test_verify_gq_rejects_broken_structures():
-    # ragged line sizes
-    with pytest.raises(GQError):
-        verify_gq(4, [(0, 1), (1, 2, 3)])
-    # two common lines through one pair
-    with pytest.raises(GQError) as err:
-        verify_gq(4, [(0, 1), (0, 1), (2, 3), (2, 3)])
-    assert "two common lines" in str(err.value)
-    # a triangle breaks the quadrangle axiom (and the counts)
-    with pytest.raises(GQError):
-        verify_gq(3, [(0, 1), (1, 2), (0, 2)])
+    # the array check and the scalar oracle give the same error and witness
+    for name, (num_points, lines, phrase) in BROKEN.items():
+        with pytest.raises(GQError, match=phrase) as err:
+            verify_gq(num_points, lines)
+        with pytest.raises(GQError) as oracle_err:
+            oracle_verify_gq(num_points, lines)
+        assert str(err.value) == str(oracle_err.value), name
+        assert err.value.witness == oracle_err.value.witness, name
 
 
 def test_verify_gq_names_witnesses():
@@ -48,6 +133,48 @@ def test_verify_gq_names_witnesses():
     with pytest.raises(GQError) as err:
         verify_gq(9, g.lines[:-1])
     assert err.value.witness or "vary" in str(err.value) or "expected" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [(-9, 1, 2), (0, 1, 9)])
+def test_point_indices_out_of_range_name_the_line(bad):
+    # a negative index must not wrap round to a real point
+    lines = _grid_with_first_line(bad)
+    with pytest.raises(GQError, match="outside 0..8") as err:
+        verify_gq(9, lines)
+    assert err.value.witness == {"line": 0}
+    with pytest.raises(GQError, match="outside 0..8"):
+        GQ(lines, num_points=9)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_verify_gq_reports_the_oracle_offence_on_corrupted_t2(seed):
+    # even seeds move one point of a line elsewhere (degrees break), odd
+    # seeds swap points between two lines (degrees hold, so the pair and
+    # axiom-three checks must fire); both versions name the same offence
+    lines = [list(line) for line in build_t2_model(make_field(3)).gq.lines]
+    rng = np.random.RandomState(seed)
+    li, lj = rng.choice(len(lines), size=2, replace=False)
+    k, m = rng.randint(4, size=2)
+    if seed % 2 == 0:
+        lines[li][k] = (lines[li][k] + 1 + int(rng.randint(39))) % 40
+    else:
+        lines[li][k], lines[lj][m] = lines[lj][m], lines[li][k]
+    lines = [tuple(line) for line in lines]
+    results = []
+    for check in (verify_gq, oracle_verify_gq):
+        with pytest.raises(GQError) as err:
+            check(40, lines)
+        results.append((str(err.value), err.value.witness))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("p,h", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_verify_gq_matches_oracle_on_both_models(p, h):
+    field = make_field(p, h)
+    for model in (build_q4_model(field), build_t2_model(field)):
+        gq = model.gq
+        assert verify_gq(gq.num_points, gq.lines) == (field.q, field.q)
+        assert oracle_verify_gq(gq.num_points, gq.lines) == (field.q, field.q)
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -219,15 +346,20 @@ def test_conic_direction_census():
 
 
 def oracle_t2_lines(model):
-    """The former T2 line loop: every affine line rebuilt from each of its
-    points, kept only when that point is the least."""
+    """The scalar T2 line build: each affine line is the coset of its least
+    point, walked in ascending order with its points marked as seen."""
     f = model.field
     lines = []
     for cpt, tang in zip(model.conic.points, model.conic.tangents):
+        seen = set()
         for a in model.affines:
-            coset = [model._translate(a, cpt, t) for t in f.elements()]
-            if min(coset) != a:
+            if a in seen:
                 continue
+            coset = [
+                tuple(f.add(a[k], f.mul(t, cpt[k])) for k in range(3))
+                for t in f.elements()
+            ]
+            seen.update(coset)
             x = f.neg(
                 f.add(
                     f.add(f.mul(tang[0], a[0]), f.mul(tang[1], a[1])),
@@ -243,8 +375,51 @@ def oracle_t2_lines(model):
     return tuple(lines)
 
 
-@pytest.mark.parametrize("p,h", [(5, 1), (7, 1), (3, 2)])
+@pytest.mark.parametrize("p,h", [(5, 1), (7, 1), (3, 2), (11, 1)])
 def test_t2_lines_match_rebuild_oracle(p, h):
     # same lines in the same order: line indices are part of the model
     model = build_t2_model(make_field(p, h))
     assert model.gq.lines == oracle_t2_lines(model)
+
+
+def oracle_determined_directions(model, triples):
+    """The scalar secant directions: one difference per pair, normalized."""
+    f = model.field
+    pts = [tuple(int(v) for v in t) for t in triples]
+    out = set()
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            diff = tuple(f.sub(a, b) for a, b in zip(pts[i], pts[j]))
+            out.add(model.conic.plane.normalize(diff))
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_determined_directions_match_oracle_on_found_examples(q):
+    model = build_t2_model(make_field(q))
+    outcome = find_example(model)
+    assert outcome.found
+    triples = [
+        model.point_labels[i][1]
+        for i in outcome.members
+        if model.point_labels[i][0] == "aff"
+    ]
+    got = model.determined_directions(triples)
+    assert got == oracle_determined_directions(model, triples)
+    assert not got & model.conic.point_set
+
+
+@pytest.mark.parametrize("p,h", [(5, 1), (3, 2)])
+def test_determined_directions_match_oracle_on_random_sets(p, h):
+    model = build_t2_model(make_field(p, h))
+    rng = np.random.RandomState(p * 10 + h)
+    for size in (0, 1, 2, 7, 30):
+        rows = rng.choice(len(model.affines), size=size, replace=False)
+        triples = [model.affines[r] for r in rows]
+        assert model.determined_directions(triples) == oracle_determined_directions(
+            model, triples
+        )
+    with pytest.raises(GeometryError):
+        model.determined_directions([(1, 2, 0), (1, 2, 0)])
+    with pytest.raises(FieldError):
+        model.determined_directions([(0, 0, 0), (0, 0, model.field.q)])
