@@ -7,11 +7,13 @@ classifies each section, counts how many members of the point set it
 contains, and tags sections holding both a member and that member's
 antipode with respect to the set's own uncovered grid section.
 
-Both steps are whole-array gathers through the field's addition and
-multiplication tables.  A section is classified from the hyperplane's
-pole rather than its size, and members are counted from a hyperplanes x
-members incidence array, so no hyperplane is ever met against all
-quadric points.
+A section is classified from the hyperplane's pole rather than its size,
+by gathers through the field's tables.  Members are counted from a
+hyperplanes x members incidence array built by the field's pairing kernel
+(``Field.vanishing_pairs``, blocked float32 products over GF(p)), so no
+hyperplane is ever met against all quadric points.  The double-count
+check alone meets the hyperplanes through one point against every
+quadric point, through the same kernel.
 """
 
 from __future__ import annotations
@@ -118,16 +120,6 @@ def _antipode_pairs_within(
     ]
 
 
-def _incidence(f, hyper: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """(hyperplanes x points) boolean array: point j lies on hyperplane i."""
-    add, mul = f._add_np, f._mul_np
-    vals = np.zeros((hyper.shape[0], coords.shape[0]), dtype=np.int16)
-    for c in range(hyper.shape[1]):
-        # a row gather then a column gather: no broadcast index arrays
-        vals = add[vals, mul[hyper[:, c]][:, coords[:, c]]]
-    return vals == 0
-
-
 def pole_section_kinds(quadric) -> np.ndarray:
     """Section type of every hyperplane, as an index into SECTION_TYPES.
 
@@ -179,7 +171,7 @@ def run_census(
 
     hyper = quadric.space.coords  # (num_hyperplanes, 5) dual vectors
     kinds = pole_section_kinds(quadric)
-    on = _incidence(f, hyper, quadric.coords[list(members)])
+    on = f.vanishing_pairs(hyper, quadric.coords[list(members)])
     # one code per hyperplane for the pair (section type, member count)
     codes = kinds * (len(members) + 1) + on.sum(axis=1)
     pairs = np.zeros((0, 2), dtype=np.int64)
@@ -251,7 +243,7 @@ def check_double_count(report: CensusReport, model: Q4Model) -> CheckResult:
     quadric = model.quadric
     hyper = quadric.space.coords
     through_point = hyper[model.field.dot_arr(hyper, quadric.coords[0]) == 0]
-    sizes = _incidence(model.field, through_point, quadric.coords).sum(axis=1)
+    sizes = model.field.vanishing_pairs(through_point, quadric.coords).sum(axis=1)
     through = int((sizes == q * q + 1).sum())
     lhs = sum(
         size * count

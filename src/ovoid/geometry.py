@@ -7,11 +7,12 @@ tuples.  Hyperplanes use the same canonical tuples, read as equation
 coefficients: a point v lies on the hyperplane with coefficients c iff
 sum_i c_i * v_i = 0.
 
-A quadric computes its tangent hyperplanes and collinearity matrix for all
-points at once, by gathers through the field's addition and
-multiplication tables, and reads each of its lines as {i, j}⊥, the common
-neighbours of two collinear points.  The scalar methods (``normalize``,
-``pairing``, ``QuadraticForm.polar``) serve single queries and tests.
+A quadric computes its tangent hyperplanes for all points at once, by
+gathers through the field's addition and multiplication tables, and its
+collinearity matrix by the field's pairing kernel (``vanishing_pairs``).
+It reads each of its lines as {i, j}⊥, the common neighbours of two
+collinear points.  The scalar methods (``normalize``, ``pairing``,
+``QuadraticForm.polar``) serve single queries and tests.
 """
 
 from __future__ import annotations
@@ -24,10 +25,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ovoid.gf import Field, mat_nullspace
-
-
-# rows of the collinearity matrix summed per block in Quadric.__init__
-_BLOCK_ROWS = 64
 
 
 class GeometryError(ValueError):
@@ -87,10 +84,6 @@ class ProjectiveSpace:
         for a, b in zip(u, v):
             acc = f.add(acc, f.mul(a, b))
         return acc
-
-    def pairing_all(self, vec: Sequence[int]) -> np.ndarray:
-        """Pairing of one coefficient vector against every point."""
-        return self.field.dot_arr(self.coords, tuple(int(v) for v in vec))
 
 
 class QuadraticForm:
@@ -242,22 +235,8 @@ class Quadric:
         self.perps = f._mul_np[f._inv_np[lead][:, None], perps]
 
         # collinearity: two quadric points span a line on the quadric iff
-        # their polar pairing vanishes.  Row blocks keep every temporary
-        # small: per coordinate j the products mul[c, coords[:, j]] are
-        # gathered once for all c, and a block's running sum steps through
-        # the flat addition table at index acc * q + term
-        q = f.q
-        add_flat = f._add_np.ravel().astype(np.intp)
-        products = [f._mul_np[:, self.coords[:, j]] for j in range(space.n + 1)]
-        coll = np.empty((n, n), dtype=bool)
-        for lo in range(0, n, _BLOCK_ROWS):
-            blk = self.perps[lo : lo + _BLOCK_ROWS]
-            acc = products[0][blk[:, 0]].astype(np.intp)
-            for j in range(1, space.n + 1):
-                acc *= q
-                acc += products[j][blk[:, j]]
-                acc = add_flat[acc]
-            coll[lo : lo + _BLOCK_ROWS] = acc == 0
+        # their polar pairing vanishes
+        coll = f.vanishing_pairs(self.perps, self.coords)
         if not np.array_equal(coll, coll.T):  # pragma: no cover
             raise GeometryError("collinearity matrix is not symmetric")
         self.collinear = coll

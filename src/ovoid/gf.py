@@ -9,7 +9,10 @@ additive and multiplicative identities in every field.
 Every field is table driven: the constructor builds addition,
 multiplication, inverse and square-root tables, as Python lists for the
 scalar operations and as numpy arrays so bulk incidence kernels can run
-as vectorized gathers.  Fields above ``TABLE_LIMIT`` elements are refused.
+as vectorized gathers.  Pairings of many vectors against many vectors
+(``Field.vanishing_pairs``) run as small float32 matrix products over
+GF(p) instead, from the coefficient tables read off the same
+multiplication table.  Fields above ``TABLE_LIMIT`` elements are refused.
 """
 
 from __future__ import annotations
@@ -20,6 +23,11 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 TABLE_LIMIT = 256
+
+# elements per temporary array in Field.vanishing_pairs
+_PAIRING_BLOCK = 1 << 16
+# float32 represents every integer below this exactly
+_FLOAT32_EXACT = 1 << 24
 
 
 class FieldError(ValueError):
@@ -110,7 +118,13 @@ def smallest_irreducible(p: int, h: int) -> tuple[int, ...]:
 
 
 class Field:
-    """The finite field GF(p^h), p an odd prime, with int-encoded elements."""
+    """The finite field GF(p^h), p an odd prime, with int-encoded elements.
+
+    All tables come from one representation, the base-p digit vectors of
+    the element codes: addition is digitwise mod p, multiplication is
+    polynomial multiplication reduced by ``irreducible``, and the F_p-linear
+    tables behind ``vanishing_pairs`` are read off the multiplication table.
+    """
 
     def __init__(self, p: int, h: int, irreducible: Optional[Sequence[int]] = None):
         if h < 1:
@@ -167,6 +181,11 @@ class Field:
     # -- table construction --------------------------------------------
 
     def _build_tables(self) -> None:
+        """Addition, negation, multiplication, inverse and square-root
+        tables, plus two F_p-linear tables read off the same digits and
+        multiplication table: ``_digits_np[a]``, the base-p coefficient
+        vector of a, and ``_mulmat_np[a, j, i]``, coefficient i of a * x^j,
+        the matrix of multiplication by a over GF(p)."""
         p, h, q = self.p, self.h, self.q
         digits = np.zeros((q, h), dtype=np.int64)
         vals = np.arange(q)
@@ -201,6 +220,9 @@ class Field:
             if sqrt[s] < 0 or a < sqrt[s]:
                 sqrt[s] = a
 
+        self._digits_np = digits.astype(np.float32)
+        # x^j encodes as p^j, so row j of a's matrix is the digits of a * x^j
+        self._mulmat_np = self._digits_np[mul[:, p ** np.arange(h)]]
         self._add_np = add.astype(np.int16)
         self._mul_np = mul.astype(np.int16)
         self._neg_np = neg.astype(np.int16)
@@ -294,6 +316,40 @@ class Field:
                 acc = self._add_np[acc, self._mul_np[mat[:, j], c]]
         return acc
 
+    def vanishing_pairs(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """(n, m) boolean array: sum_c left[i, c] * right[j, c] == 0 in GF(q).
+
+        The pairing is F_p-bilinear in the base-p coefficient vectors, so
+        each element of ``left`` expands to its h x h multiplication matrix
+        and each element of ``right`` to its h digits: the (n*h, k*h) by
+        (k*h, m) integer product holds the digits of every pairing before
+        reduction mod p.  Its entries stay below k*h*(p-1)^2, so float32
+        BLAS computes them exactly.  Row blocks keep every temporary near
+        ``_PAIRING_BLOCK`` elements.
+        """
+        left = np.asarray(left)
+        right = np.asarray(right)
+        n, k = left.shape
+        m = right.shape[0]
+        if right.shape != (m, k):
+            raise FieldError(f"cannot pair {k}-vectors with shape {right.shape}")
+        p, h = self.p, self.h
+        bound = k * h * (p - 1) ** 2
+        if bound >= _FLOAT32_EXACT:
+            raise FieldError(f"{k}-term pairings over GF({self.q}) overflow float32")
+        divisible = np.arange(bound + 1) % p == 0
+        rhs = self._digits_np[right].reshape(m, k * h).T
+        out = np.empty((n, m), dtype=bool)
+        rows = max(1, _PAIRING_BLOCK // max(1, h * m))
+        for lo in range(0, n, rows):
+            blk = left[lo : lo + rows]
+            # (b, k, j, i) -> (b, i, k, j): row (r, i) yields digit i of row r
+            lhs = self._mulmat_np[blk].transpose(0, 3, 1, 2)
+            sums = lhs.reshape(len(blk) * h, k * h) @ rhs
+            zero = divisible[sums.astype(np.intp)]
+            out[lo : lo + rows] = zero.reshape(len(blk), h, m).all(axis=1)
+        return out
+
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -326,30 +382,53 @@ def field_from_json(obj: dict) -> Field:
 # Small dense linear algebra over a Field (row lists of int elements).
 # ----------------------------------------------------------------------
 
-def mat_rref(field: Field, rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
+def _element_matrix(field: Field, rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """Rows of field elements as an int16 array; ragged rows and entries
+    outside 0..q-1 raise FieldError."""
     mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
+    width = len(mat[0]) if mat else 0
+    for i, row in enumerate(mat):
+        if len(row) != width:
+            raise FieldError(f"row {i} has {len(row)} entries, row 0 has {width}")
+    if not mat or not width:
+        return np.zeros((len(mat), width), dtype=np.int16)
+    arr = np.asarray(mat)
+    if arr.dtype.kind not in "iu":
+        raise FieldError(f"matrix entries must be integers, got {arr.dtype}")
+    bad = np.argwhere((arr < 0) | (arr >= field.q))
+    if len(bad):
+        i, j = bad[0]
+        raise FieldError(f"entry {arr[i, j]} at ({i}, {j}) is not an element of GF({field.q})")
+    return arr.astype(np.int16)
+
+
+def mat_rref(field: Field, rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    Each pivot column is cleared by whole-row table gathers: the pivot row
+    is scaled by the inverse of its pivot, and every row i becomes
+    row_i - row_i[c] * pivot_row in one gather for all rows.
+    """
+    mat = _element_matrix(field, rows)
+    nrows, ncols = mat.shape
+    add, mul, neg, inv = field._add_np, field._mul_np, field._neg_np, field._inv_np
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
+        if r == nrows:
+            break
+        below = np.flatnonzero(mat[r:, c])
+        if not len(below):
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        scale = field.inv(mat[r][c])
-        mat[r] = [field.mul(scale, x) for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[i], mat[r])]
+        pivot = r + int(below[0])
+        mat[[r, pivot]] = mat[[pivot, r]]
+        mat[r] = mul[inv[mat[r, c]], mat[r]]
+        factors = neg[mat[:, c]]
+        factors[r] = 0
+        mat = add[mat, mul[factors[:, None], mat[r]]]
         pivots.append(c)
         r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
+    return mat.tolist(), pivots
 
 
 def mat_rank(field: Field, rows: Sequence[Sequence[int]]) -> int:
@@ -359,10 +438,10 @@ def mat_rank(field: Field, rows: Sequence[Sequence[int]]) -> int:
 
 def mat_nullspace(field: Field, rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Basis of the right null space, one vector per free column."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
     rref, pivots = mat_rref(field, rows)
+    if not rref:
+        return []
+    ncols = len(rref[0])
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:

@@ -765,7 +765,7 @@ def redei_suite_core(u: AffineSet, conic) -> RedeiSuiteReport:
     chi_sum = chi_closed_all(field, s2)
 
     conic_pts = np.array(conic.points, dtype=np.int16)
-    meet_count = (field.sum_arr(mul[dirs[:, None, :], conic_pts[None, :, :]]) == 0).sum(axis=1)
+    meet_count = field.vanishing_pairs(dirs, conic_pts).sum(axis=1)
     meets = meet_count > 0
     tangent = meet_count == 1
     every = np.ones(len(directions), dtype=bool)

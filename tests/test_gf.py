@@ -7,9 +7,13 @@ into the assertions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ovoid.gf import (
     Field,
@@ -18,6 +22,7 @@ from ovoid.gf import (
     make_field,
     mat_nullspace,
     mat_rank,
+    mat_rref,
     smallest_irreducible,
 )
 
@@ -46,6 +51,64 @@ def oracle_poly_mul_mod(a, b, modulus, p):
 
 def oracle_has_root(poly, p):
     return any(sum(c * x**i for i, c in enumerate(poly)) % p == 0 for x in range(p))
+
+
+def oracle_incidence(f, hyper, coords):
+    """(rows x columns) boolean array of vanishing pairings, summed through
+    the addition and multiplication tables one coordinate at a time."""
+    add, mul = f._add_np, f._mul_np
+    vals = np.zeros((hyper.shape[0], coords.shape[0]), dtype=np.int16)
+    for c in range(hyper.shape[1]):
+        # a row gather then a column gather: no broadcast index arrays
+        vals = add[vals, mul[hyper[:, c]][:, coords[:, c]]]
+    return vals == 0
+
+
+def oracle_mat_rref(field, rows):
+    """Scalar reduced row echelon form, one field operation at a time."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        scale = field.inv(mat[r][c])
+        mat[r] = [field.mul(scale, x) for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat, pivots
+
+
+def oracle_mat_nullspace(field, rows):
+    """Null space basis read off the scalar echelon form."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    rref, pivots = oracle_mat_rref(field, rows)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[free] = 1
+        for r, c in enumerate(pivots):
+            vec[c] = field.neg(rref[r][free])
+        basis.append(tuple(vec))
+    return basis
+
+
+@functools.lru_cache(maxsize=None)
+def cached_field(p, h):
+    return make_field(p, h)
 
 
 def test_gf9_irreducible_is_lex_smallest():
@@ -213,3 +276,135 @@ def test_matrix_rank_and_nullspace():
         assert acc == 0
     # full-rank system has trivial null space
     assert mat_nullspace(f, [[1, 0], [0, 1]]) == []
+
+
+# ----------------------------------------------------------------------
+# the pairing kernel and array row reduction against the scalar oracles
+# ----------------------------------------------------------------------
+
+KERNEL_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2), (3, 3)]
+
+
+@st.composite
+def element_matrix(draw, q, rows, cols):
+    return np.array(
+        draw(st.lists(st.integers(0, q - 1), min_size=rows * cols, max_size=rows * cols)),
+        dtype=np.int16,
+    ).reshape(rows, cols)
+
+
+@given(st.data())
+def test_vanishing_pairs_match_oracle_incidence(data):
+    p, h = data.draw(st.sampled_from(KERNEL_FIELDS))
+    f = cached_field(p, h)
+    k = data.draw(st.integers(1, 10))
+    left = data.draw(element_matrix(f.q, data.draw(st.integers(0, 12)), k))
+    right = data.draw(element_matrix(f.q, data.draw(st.integers(0, 12)), k))
+    got = f.vanishing_pairs(left, right)
+    assert got.dtype == bool
+    assert np.array_equal(got, oracle_incidence(f, left, right))
+
+
+@pytest.mark.parametrize("p,h", KERNEL_FIELDS + [(5, 3)])
+@pytest.mark.parametrize("k", [1, 5, 10])
+def test_vanishing_pairs_match_oracle_across_row_blocks(p, h, k):
+    # enough rows and columns that the kernel splits the rows into blocks
+    f = cached_field(p, h)
+    rng = np.random.default_rng(p * 100 + h * 10 + k)
+    left = rng.integers(0, f.q, (700, k)).astype(np.int16)
+    right = rng.integers(0, f.q, (300, k)).astype(np.int16)
+    left[0] = 0
+    if k > 1:
+        # (1, -1, 0, ...) pairs to zero with every constant row
+        left[1] = 0
+        left[1, :2] = (1, f.neg(1))
+        right[:50] = right[:50, :1]
+    got = f.vanishing_pairs(left, right)
+    assert np.array_equal(got, oracle_incidence(f, left, right))
+    assert got[0].all() and (k == 1 or got[1, :50].all())
+
+
+def test_vanishing_pairs_shapes_and_bounds():
+    f = cached_field(13, 1)
+    assert f.vanishing_pairs(np.zeros((0, 5), np.int16), np.ones((4, 5), np.int16)).shape == (0, 4)
+    assert f.vanishing_pairs(np.ones((3, 5), np.int16), np.zeros((0, 5), np.int16)).shape == (3, 0)
+    with pytest.raises(FieldError, match="cannot pair"):
+        f.vanishing_pairs(np.zeros((2, 5), np.int16), np.zeros((2, 4), np.int16))
+    # k * (p - 1)^2 reaches 2^24: the float32 sums could round
+    k = (1 << 24) // 144 + 1
+    with pytest.raises(FieldError, match="overflow"):
+        f.vanishing_pairs(np.zeros((1, k), np.int16), np.zeros((1, k), np.int16))
+
+
+@st.composite
+def rref_case(draw):
+    """A random matrix over a kernel field, possibly with zero rows, zero
+    columns and duplicated rows."""
+    p, h = draw(st.sampled_from(KERNEL_FIELDS))
+    f = cached_field(p, h)
+    nrows = draw(st.integers(0, 7))
+    ncols = draw(st.integers(0, 7))
+    entries = st.one_of(st.just(0), st.integers(0, f.q - 1))
+    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [0] * ncols
+    if ncols and draw(st.booleans()):
+        col = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[col] = 0
+    if rows and draw(st.booleans()):
+        rows.append(list(rows[draw(st.integers(0, nrows - 1))]))
+    if rows and draw(st.booleans()):
+        # a combination of two rows, so the rank drops
+        a, b = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        c = draw(st.integers(0, f.q - 1))
+        rows.append([f.add(x, f.mul(c, y)) for x, y in zip(rows[a], rows[b])])
+    return f, rows
+
+
+@given(rref_case())
+def test_row_reduction_matches_scalar_oracle(case):
+    f, rows = case
+    expect = oracle_mat_rref(f, rows)
+    assert mat_rref(f, rows) == expect
+    assert mat_rank(f, rows) == len(expect[1])
+    basis = mat_nullspace(f, rows)
+    assert basis == oracle_mat_nullspace(f, rows)
+    for vec in basis:
+        for row in rows:
+            acc = 0
+            for c, v in zip(row, vec):
+                acc = f.add(acc, f.mul(c, v))
+            assert acc == 0
+
+
+def test_row_reduction_returns_lists():
+    f = make_field(5)
+    rows, pivots = mat_rref(f, [[0, 2, 4], [0, 1, 2], [1, 0, 0]])
+    assert (rows, pivots) == ([[1, 0, 0], [0, 1, 2], [0, 0, 0]], [0, 1])
+    assert all(type(x) is int for row in rows for x in row)
+    assert mat_rref(f, []) == ([], [])
+    assert mat_rref(f, [[], []]) == ([[], []], [])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1], [3, 4]],  # used to give rank 1 with pivots [0]
+        [[1, 2], [2, 4, 1]],  # used to give rank 1
+        [[1, 2], [3]],  # used to end in a bare IndexError
+    ],
+)
+def test_ragged_rows_are_refused(rows):
+    f = make_field(5)
+    for fn in (mat_rref, mat_rank, mat_nullspace):
+        with pytest.raises(FieldError, match="entries, row 0 has"):
+            fn(f, rows)
+
+
+@pytest.mark.parametrize("rows", [[[1, 5]], [[0, -1]], [[2], [-5]], [[1.5, 0]]])
+def test_entries_outside_the_field_are_refused(rows):
+    f = make_field(5)
+    for fn in (mat_rref, mat_rank, mat_nullspace):
+        with pytest.raises(FieldError):
+            fn(f, rows)
